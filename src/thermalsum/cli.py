@@ -1,6 +1,7 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 missing data.
+Exit codes: 0 success, 1 check failure, 2 usage error or malformed input
+file, 3 missing data.
 Outputs land under a run directory named by subcommand (plus seed for
 stochastic targets); reruns with the same seed and flags are byte-identical.
 """
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import product
 from pathlib import Path
 
 import click
@@ -91,7 +91,8 @@ def _finish_checks(all_checks: list[checks.Check], enabled: bool) -> None:
 @click.argument("target", type=click.Choice(["sim1", "sim2", "walnut", "lilac-bins"]))
 @click.option("--seed", type=int, default=None, help="Master seed (required for stochastic targets).")
 @click.option("--r", "replicates", type=int, default=simulate.DEFAULT_REPLICATES, show_default=True, help="Replicates per grid cell.")
-@click.option("--threads", type=int, default=None, help="Worker threads [default: available parallelism].")
+# accepted for compatibility with older command lines; simulation is serial
+@click.option("--threads", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs"), show_default=True, help="Root directory for run outputs.")
 @click.option("--force", is_flag=True, help="Overwrite an existing run directory.")
 @click.option("--check", "check_mode", is_flag=True, help="Verify outputs against the reference tolerances; exit 1 on failure.")
@@ -102,7 +103,6 @@ def reproduce(
     target: str,
     seed: int | None,
     replicates: int,
-    threads: int | None,
     out: Path,
     force: bool,
     check_mode: bool,
@@ -117,49 +117,39 @@ def reproduce(
     of the constant-forcing experiment. lilac-bins: quartile-binned bloom
     grids from pre-downloaded observational data (exits 3 without data;
     with --check and no data, runs the synthetic binning pipeline instead).
+    Simulations run serially. Exit codes: 0 success, 1 check failure, 2 usage
+    error or malformed input file, 3 missing data.
     """
-    threads = threads if threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise click.UsageError(f"--threads must be >= 1, got {threads}")
     if replicates < 2:
         raise click.UsageError(f"--r must be >= 2, got {replicates}")
     if target in ("sim1", "sim2") and seed is None:
         raise click.UsageError(f"--seed is required for {target}")
     try:
         if target == "sim1":
-            _reproduce_sim1(seed, replicates, threads, out, force, check_mode, write_raw)
+            _reproduce_sim1(seed, replicates, out, force, check_mode, write_raw)
         elif target == "sim2":
-            _reproduce_sim2(seed, replicates, threads, out, force, check_mode)
+            _reproduce_sim2(seed, replicates, out, force, check_mode)
         elif target == "walnut":
             _reproduce_walnut(out, force, check_mode)
         else:
-            _reproduce_lilac_bins(
-                seed, replicates, threads, out, force, check_mode, data_dir, units
-            )
+            _reproduce_lilac_bins(seed, replicates, out, force, check_mode, data_dir, units)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
 
 
 def _reproduce_sim1(
-    seed: int, replicates: int, threads: int, out: Path, force: bool,
-    check_mode: bool, write_raw: bool,
+    seed: int, replicates: int, out: Path, force: bool, check_mode: bool, write_raw: bool
 ) -> None:
     run = _run_dir(out, "sim1", seed, force)
-    results: dict[tuple[float, float, float], simulate.SimulationResult] = {}
-    grid = list(product(simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS))
-    for cell, (a, b, tau) in enumerate(grid):
-        res = simulate.run_simulation_1(
-            a, b, tau, sigma=simulate.DEFAULT_SIGMA, replicates=replicates,
-            seed=seed, cell=cell, threads=threads,
-        )
-        results[(a, b, tau)] = res
+    results = simulate.run_simulation_1_grid(seed, replicates=replicates)
+    for (a, b, tau), res in results.items():
         tag = f"a{a:g}_b{b:g}_tau{tau:g}"
         if res.z_values is not None:
             _write_lines(run / f"hist_{tag}.csv", simulate.histogram_csv_rows(res.z_values))
         if write_raw:
             _write_lines(run / f"raw_{tag}.txt", [str(int(t)) for t in res.hitting_times])
     _write_lines(run / "summary.csv", simulate.summary_csv_rows(results, simulate.DEFAULT_SIGMA))
-    click.echo(f"sim1: {len(grid)} grid cells x {replicates} replicates -> {run}")
+    click.echo(f"sim1: {len(results)} grid cells x {replicates} replicates -> {run}")
 
     all_checks = checks.sim1_ks_checks(results, sigma=simulate.DEFAULT_SIGMA)
     all_checks.append(checks.sim1_improvement_check(results))
@@ -172,10 +162,10 @@ def _reproduce_sim1(
 
 
 def _reproduce_sim2(
-    seed: int, replicates: int, threads: int, out: Path, force: bool, check_mode: bool
+    seed: int, replicates: int, out: Path, force: bool, check_mode: bool
 ) -> None:
     run = _run_dir(out, "sim2", seed, force)
-    grid = simulate.run_simulation_2(seed=seed, replicates=replicates, threads=threads)
+    grid = simulate.run_simulation_2(seed=seed, replicates=replicates)
     (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
     _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid.cells, grid.sigma))
     click.echo(f"sim2: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
@@ -219,7 +209,7 @@ def _resolve_data_dir(data_dir: Path | None) -> Path:
 
 
 def _reproduce_lilac_bins(
-    seed: int | None, replicates: int, threads: int, out: Path, force: bool,
+    seed: int | None, replicates: int, out: Path, force: bool,
     check_mode: bool, data_dir: Path | None, units: str,
 ) -> None:
     root = _resolve_data_dir(data_dir)
@@ -234,16 +224,18 @@ def _reproduce_lilac_bins(
             sys.exit(3)
         if seed is None:
             raise click.UsageError("--seed is required for the synthetic binning check")
-        _lilac_synthetic_fallback(seed, replicates, threads, out, force)
+        _lilac_synthetic_fallback(seed, replicates, out, force)
         return
 
-    run = _run_dir(out, "lilac-bins", None, force)
-    parsed = data_io.parse_temperature_csv(temp_path, units=units)
+    try:
+        parsed = data_io.parse_temperature_csv(temp_path, units=units)
+        phenology = data_io.parse_phenology_csv(phen_path)
+    except ThermalSumError as exc:
+        raise click.UsageError(str(exc)) from None
     observations = data_io.filter_phenology(
-        data_io.parse_phenology_csv(phen_path),
-        species=DEFAULT_SPECIES,
-        phenophase=DEFAULT_PHENOPHASE,
+        phenology, species=DEFAULT_SPECIES, phenophase=DEFAULT_PHENOPHASE
     )
+    run = _run_dir(out, "lilac-bins", None, force)
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
     data_io.write_analysis_rows(rows, run / "analysis_rows.csv")
     click.echo(
@@ -266,9 +258,7 @@ def _reproduce_lilac_bins(
         _finish_checks(checks.lilac_grid_checks(ref_grid), True)
 
 
-def _lilac_synthetic_fallback(
-    seed: int, replicates: int, threads: int, out: Path, force: bool
-) -> None:
+def _lilac_synthetic_fallback(seed: int, replicates: int, out: Path, force: bool) -> None:
     """End-to-end binning pipeline on seasonal-simulation output.
 
     Used by --check when the observational data are not on disk: hit days
@@ -277,9 +267,7 @@ def _lilac_synthetic_fallback(
     """
     click.echo("lilac data not found; running the synthetic binning pipeline check")
     run = _run_dir(out, "lilac-bins", seed, force)
-    grid = simulate.run_simulation_2(
-        seed=seed, replicates=replicates, taus=(1000.0,), threads=threads
-    )
+    grid = simulate.run_simulation_2(seed=seed, replicates=replicates, taus=(1000.0,))
     triples = []
     for (a, b, _tau), res in sorted(grid.cells.items()):
         triples.extend((a, b, float(t)) for t in res.hitting_times)

@@ -142,7 +142,10 @@ def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) ->
 
 
 def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
-    """Parse a phenology observations CSV (strict: any bad row raises)."""
+    """Parse a phenology observations CSV (strict: any bad row raises).
+
+    A malformed or out-of-range field raises ParameterError naming path:line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -157,20 +160,22 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
-            doy = int(row[4])
-            if not 1 <= doy <= 366:
-                raise ParameterError(f"bloom_doy {doy} outside [1, 366]")
-            out.append(
-                PhenologyObservation(
+            where = f"{path}:{reader.line_num}"
+            try:
+                obs = PhenologyObservation(
                     site_id=row[0].strip(),
                     latitude=float(row[1]),
                     longitude=float(row[2]),
                     year=int(row[3]),
-                    bloom_doy=doy,
+                    bloom_doy=int(row[4]),
                     species=row[5].strip(),
                     phenophase=row[6].strip(),
                 )
-            )
+            except (ValueError, IndexError) as exc:
+                raise ParameterError(f"{where}: malformed row ({exc})") from None
+            if not 1 <= obs.bloom_doy <= 366:
+                raise ParameterError(f"{where}: bloom_doy {obs.bloom_doy} outside [1, 366]")
+            out.append(obs)
     return out
 
 
@@ -257,7 +262,8 @@ def build_analysis_rows(
     coords = station_coordinates(records)
     diag = JoinDiagnostics()
     rows: list[AnalysisRow] = []
-    series_cache: dict[tuple[str, int], regimes.DailyTemperatureSeries] = {}
+    # one estimate per station-year; None marks a failed completeness gate
+    estimates: dict[tuple[str, int], regimes.RegimeEstimate | None] = {}
     for obs in observations:
         diag.n_observations += 1
         sid = match_station(obs, coords, max_km=max_km)
@@ -265,11 +271,14 @@ def build_analysis_rows(
             diag.n_no_station += 1
             continue
         key = (sid, obs.year)
-        if key not in series_cache:
-            series_cache[key] = regimes.clip_base(midrange_series(records, sid, obs.year))
-        try:
-            est = regimes.estimate_regime(series_cache[key])
-        except (InsufficientData, DegenerateDesign):
+        if key not in estimates:
+            series = regimes.clip_base(midrange_series(records, sid, obs.year))
+            try:
+                estimates[key] = regimes.estimate_regime(series)
+            except (InsufficientData, DegenerateDesign):
+                estimates[key] = None
+        est = estimates[key]
+        if est is None:
             diag.n_insufficient += 1
             continue
         rows.append(
@@ -292,17 +301,4 @@ def write_analysis_rows(rows: Iterable[AnalysisRow], path: str | Path) -> None:
         for r in rows:
             fh.write(
                 f"{r.site_id},{r.year},{r.alpha_hat:.6g},{r.beta_hat:.6g},{r.bloom_doy}\n"
-            )
-
-
-def write_regime_estimates(
-    rows: Iterable[tuple[str, int, regimes.RegimeEstimate]], path: str | Path
-) -> None:
-    """Emit (site, year, estimate) triples as site,year,alpha,beta,n_alpha,n_beta,r2."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("site,year,alpha,beta,n_alpha,n_beta,r2\n")
-        for site, year, est in rows:
-            fh.write(
-                f"{site},{year},{est.alpha_hat:.6g},{est.beta_hat:.6g},"
-                f"{est.n_alpha_days},{est.n_beta_days},{est.r_squared_beta:.6g}\n"
             )

@@ -4,16 +4,15 @@ The engine draws daily effective temperatures X_i = mu_i + eps_i and records
 the first day n with Z_n = sum_{i<=n} X_i strictly exceeding the threshold
 tau (ties at Z_n == tau continue). Replicates are reproducible and
 order-independent: replicate i of cell c under master seed s always consumes
-the substream SeedSequence((s, c, i)), so serial and thread-parallel runs
-produce bit-identical hitting times.
+the substream SeedSequence((s, c, i)), so any replicate can be regenerated on
+its own and a run's hitting times depend only on (seed, cell, replicate).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -122,8 +121,8 @@ class SimulationResult:
 def substream(seed: int, cell: int, replicate: int) -> np.random.Generator:
     """Independent RNG stream for one replicate of one grid cell.
 
-    The (seed, cell, replicate) tuple is the entire identity of the stream;
-    chunking across threads cannot change the draws.
+    The (seed, cell, replicate) tuple is the entire identity of the stream:
+    no other replicate's draws or run order can change it.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, cell, replicate)))
 
@@ -132,6 +131,26 @@ def _draw_noise(spec: TemperatureProcessSpec, rng: np.random.Generator, n: int) 
     if spec.noise_law == "gaussian":
         return spec.noise_sigma * rng.standard_normal(n)
     return spec.noise_sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+
+
+def _path_blocks(
+    spec: TemperatureProcessSpec, rng: np.random.Generator, max_horizon: int
+) -> Iterator[np.ndarray]:
+    """Daily values of one path up to max_horizon, block by block.
+
+    Blocks start at _START_BLOCK days and double up to _MAX_BLOCK; this
+    schedule fixes which draws of a substream land on which day.
+    """
+    day0, block = 0, _START_BLOCK
+    while day0 < max_horizon:
+        n = min(block, max_horizon - day0)
+        days = np.arange(day0 + 1, day0 + n + 1)
+        values = spec.mean_at(days) + _draw_noise(spec, rng, n)
+        if spec.clip_at_base:
+            values = np.maximum(values, 0.0)
+        yield values
+        day0 += n
+        block = min(block * 2, _MAX_BLOCK)
 
 
 def simulate_hitting_time(
@@ -150,20 +169,13 @@ def simulate_hitting_time(
         raise ParameterError(f"tau must be > 0, got {tau}")
     carry = 0.0
     day0 = 0
-    block = _START_BLOCK
-    while day0 < max_horizon:
-        n = min(block, max_horizon - day0)
-        days = np.arange(day0 + 1, day0 + n + 1)
-        values = spec.mean_at(days) + _draw_noise(spec, rng, n)
-        if spec.clip_at_base:
-            values = np.maximum(values, 0.0)
+    for values in _path_blocks(spec, rng, max_horizon):
         z = carry + np.cumsum(values)
         crossed = z > tau
         if crossed.any():
             return day0 + int(np.argmax(crossed)) + 1
         carry = float(z[-1])
-        day0 += n
-        block = min(block * 2, _MAX_BLOCK)
+        day0 += len(values)
     raise HorizonExceeded(
         f"no crossing of tau={tau} within {max_horizon} days "
         f"(alpha={spec.alpha}, beta={spec.beta}, sigma={spec.noise_sigma}, "
@@ -178,36 +190,17 @@ def simulate_hitting_times(
     seed: int,
     cell: int = 0,
     max_horizon: int = DEFAULT_MAX_HORIZON,
-    threads: int = 1,
 ) -> np.ndarray:
     """Hitting times for `replicates` independent paths, in replicate order.
 
-    Identical (seed, cell) always yields identical output regardless of
-    `threads`; replicate i reads only its own substream.
+    Replicate i is simulate_hitting_time on substream(seed, cell, i), so
+    identical (seed, cell) always yields identical output.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     out = np.empty(replicates, dtype=np.int64)
-    errors: list[Exception] = []
-
-    def run_range(lo: int, hi: int) -> None:
-        try:
-            for i in range(lo, hi):
-                out[i] = simulate_hitting_time(
-                    spec, tau, substream(seed, cell, i), max_horizon
-                )
-        except HorizonExceeded as exc:  # surfaced after the pool drains
-            errors.append(exc)
-
-    if threads <= 1:
-        run_range(0, replicates)
-    else:
-        chunk = max(1, math.ceil(replicates / (threads * 4)))
-        bounds = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_range(*b), bounds))
-    if errors:
-        raise errors[0]
+    for i in range(replicates):
+        out[i] = simulate_hitting_time(spec, tau, substream(seed, cell, i), max_horizon)
     return out
 
 
@@ -229,19 +222,12 @@ def verify_stopping(
     for idx in sample:
         i = idx % r
         nu = int(hitting_times[i])
-        rng = substream(seed, cell, i)
         # replay enough whole blocks to cover day nu
-        days_needed, block, chunks = 0, _START_BLOCK, []
-        while days_needed < nu:
-            n = min(block, max_horizon - days_needed)
-            days = np.arange(days_needed + 1, days_needed + n + 1)
-            vals = spec.mean_at(days) + _draw_noise(spec, rng, n)
-            if spec.clip_at_base:
-                vals = np.maximum(vals, 0.0)
-            chunks.append(vals)
-            days_needed += n
-            block = min(block * 2, _MAX_BLOCK)
-        z = np.cumsum(np.concatenate(chunks))
+        blocks = _path_blocks(spec, substream(seed, cell, i), max_horizon)
+        values = next(blocks)
+        while len(values) < nu:
+            values = np.concatenate([values, next(blocks)])
+        z = np.cumsum(values)
         if not z[nu - 1] > tau:
             raise AssertionError(f"replicate {i}: Z_nu={z[nu-1]} not > tau={tau}")
         if nu > 1 and not z[nu - 2] <= tau:
@@ -264,6 +250,27 @@ def ks_distance(samples: Iterable[float], cdf: Callable[[np.ndarray], np.ndarray
     return float(max(upper.max(), lower.max()))
 
 
+def _run_cell(
+    spec: TemperatureProcessSpec,
+    tau: float,
+    replicates: int,
+    seed: int,
+    cell: int,
+    max_horizon: int,
+) -> SimulationResult:
+    """Simulate one grid cell, verify its stopping rule and summarize it."""
+    times = simulate_hitting_times(spec, tau, replicates, seed, cell, max_horizon)
+    verify_stopping(spec, tau, seed, cell, times, max_horizon)
+    return SimulationResult(
+        hitting_times=times,
+        replicate_count=replicates,
+        mean=float(times.mean()),
+        sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
+        seed=seed,
+        max_horizon=max_horizon,
+    )
+
+
 def run_simulation_1(
     alpha: float,
     beta: float,
@@ -273,7 +280,6 @@ def run_simulation_1(
     seed: int = 0,
     cell: int = 0,
     max_horizon: int = DEFAULT_MAX_HORIZON,
-    threads: int = 1,
 ) -> SimulationResult:
     """Linear-trend verification run for one (alpha, beta, tau) grid point.
 
@@ -284,24 +290,30 @@ def run_simulation_1(
     coincide and z/ks are None.
     """
     spec = TemperatureProcessSpec.linear_trend(alpha, beta, sigma)
-    times = simulate_hitting_times(spec, tau, replicates, seed, cell, max_horizon, threads)
-    verify_stopping(spec, tau, seed, cell, times, max_horizon)
-    result = SimulationResult(
-        hitting_times=times,
-        replicate_count=replicates,
-        mean=float(times.mean()),
-        sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
-        seed=seed,
-        max_horizon=max_horizon,
-    )
+    result = _run_cell(spec, tau, replicates, seed, cell, max_horizon)
     if sigma > 0:
         params = model.RegimeParams(alpha=alpha, beta=beta, sigma=sigma, tau=tau)
         theory = model.theory_approx(params)
-        z = (times - theory.mean) / theory.sd
+        z = (result.hitting_times - theory.mean) / theory.sd
         result.z_values = z
         result.ks = ks_distance(z)
         result.theory = theory
     return result
+
+
+def run_simulation_1_grid(
+    seed: int, replicates: int = DEFAULT_REPLICATES
+) -> dict[tuple[float, float, float], SimulationResult]:
+    """run_simulation_1 over the bundled (alpha, beta, tau) grid.
+
+    Cell c is the c-th point of product(SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS);
+    that numbering is part of the substream contract.
+    """
+    cells = product(SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS)
+    return {
+        (a, b, tau): run_simulation_1(a, b, tau, replicates=replicates, seed=seed, cell=cell)
+        for cell, (a, b, tau) in enumerate(cells)
+    }
 
 
 @dataclass
@@ -346,7 +358,6 @@ def run_simulation_2(
     replicates: int = DEFAULT_REPLICATES,
     breakpoint_day: int = 90,
     max_horizon: int = DEFAULT_MAX_HORIZON,
-    threads: int = 1,
 ) -> Simulation2Grid:
     """Seasonal verification run: piecewise trend, no clipping, full grid.
 
@@ -360,26 +371,9 @@ def run_simulation_2(
         alphas=tuple(alphas), betas=tuple(betas), taus=tuple(taus),
         sigma=sigma, replicates=replicates, seed=seed,
     )
-    cell_index = 0
-    for a in grid.alphas:
-        for b in grid.betas:
-            for tau in grid.taus:
-                spec = TemperatureProcessSpec.piecewise_seasonal(
-                    a, b, sigma, breakpoint_day=breakpoint_day
-                )
-                times = simulate_hitting_times(
-                    spec, tau, replicates, seed, cell_index, max_horizon, threads
-                )
-                verify_stopping(spec, tau, seed, cell_index, times, max_horizon)
-                grid.cells[(a, b, tau)] = SimulationResult(
-                    hitting_times=times,
-                    replicate_count=replicates,
-                    mean=float(times.mean()),
-                    sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
-                    seed=seed,
-                    max_horizon=max_horizon,
-                )
-                cell_index += 1
+    for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
+        spec = TemperatureProcessSpec.piecewise_seasonal(a, b, sigma, breakpoint_day=breakpoint_day)
+        grid.cells[(a, b, tau)] = _run_cell(spec, tau, replicates, seed, cell, max_horizon)
     return grid
 
 

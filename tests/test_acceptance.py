@@ -16,7 +16,6 @@ are listed but not counted.
 
 import time
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,19 +37,13 @@ def report(tag: str, ok: bool, detail: str) -> str:
 @pytest.fixture(scope="session")
 def sim2_grid():
     t0 = time.perf_counter()
-    grid = simulate.run_simulation_2(seed=ACCEPTANCE_SEED, threads=1)
+    grid = simulate.run_simulation_2(seed=ACCEPTANCE_SEED)
     return grid, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def sim1_results():
-    results = {}
-    cells = list(product(simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS))
-    for cell, (a, b, tau) in enumerate(cells):
-        results[(a, b, tau)] = simulate.run_simulation_1(
-            a, b, tau, seed=ACCEPTANCE_SEED, cell=cell
-        )
-    return results
+    return simulate.run_simulation_1_grid(ACCEPTANCE_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -307,14 +300,24 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     assert ok, line
 
 
-def test_criterion_9_thread_count_invariance(sim2_grid):
-    grid_serial, _ = sim2_grid
-    grid_threaded = simulate.run_simulation_2(seed=ACCEPTANCE_SEED, threads=8)
-    same = all(
-        np.array_equal(
-            grid_serial.cells[key].hitting_times, grid_threaded.cells[key].hitting_times
-        )
-        for key in grid_serial.cells
+def test_criterion_9_substream_identity(sim2_grid):
+    # replicate i of sim2 cell c (cells numbered in (alpha, beta, tau) product
+    # order) is the path drawn from SeedSequence((seed, c, i)) alone
+    grid, _ = sim2_grid
+    r = grid.replicates
+    mismatches = []
+    for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
+        spec = simulate.TemperatureProcessSpec.piecewise_seasonal(a, b, grid.sigma)
+        for i in (0, r // 2, r - 1):
+            alone = simulate.simulate_hitting_time(
+                spec, tau, simulate.substream(ACCEPTANCE_SEED, cell, i)
+            )
+            if grid.cells[(a, b, tau)].hitting_times[i] != alone:
+                mismatches.append((a, b, tau, i))
+    ok = not mismatches
+    line = report(
+        "9b", ok,
+        f"replicates 0, R/2, R-1 of all {len(grid.cells)} cells equal their substream "
+        f"replayed alone" if ok else f"mismatched (alpha, beta, tau, i): {mismatches}",
     )
-    line = report("9b", same, "hitting-time multisets identical for 1 vs 8 worker threads")
-    assert same, line
+    assert ok, line

@@ -181,6 +181,28 @@ class TestReproduceLilacBins:
         assert (tmp_path / "runs" / "lilac-bins-seed2" / "grid.csv").exists()
         assert result.exit_code in (0, 1)  # tolerance is tuned for R=10000
 
+    @pytest.mark.parametrize(
+        "filename, old, new",
+        [
+            ("lilac_phenology.csv", ",120,", ",131.5,"),
+            ("lilac_phenology.csv", "site_id,", "site,"),
+            ("daily_temperatures.csv", "station_id,", "station,"),
+        ],
+        ids=["non_integer_doy", "phenology_header", "temperature_header"],
+    )
+    def test_malformed_input_exits_2_without_run_dir(self, runner, tmp_path, filename, old, new):
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / filename
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 2, result.output
+        assert filename in result.output
+        assert not (tmp_path / "runs").exists()
+
     def test_check_without_data_requires_seed(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -209,6 +209,19 @@ class TestBuildAnalysisRows:
         assert rows == []
         assert diag.n_insufficient == 1
 
+    def test_one_estimate_per_station_year(self, monkeypatch):
+        calls = []
+        real = regimes.estimate_regime
+        monkeypatch.setattr(regimes, "estimate_regime", lambda s: calls.append(s) or real(s))
+        records = synthetic_year_records("ST1", 40.0, -75.0)
+        gappy = synthetic_year_records("ST2", 45.0, -75.0)[:30]  # January only
+        obs = [site(40.0, -75.0), site(40.001, -75.0), site(45.0, -75.0), site(45.001, -75.0)]
+        rows, diag = data_io.build_analysis_rows(obs, records + gappy)
+        assert len(calls) == 2
+        assert diag.n_observations == 4 and diag.n_rows == len(rows) == 2
+        assert diag.n_insufficient == 2
+        assert rows[0].alpha_hat == rows[1].alpha_hat
+
     def test_row_count_bounded_by_observations(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
         obs = [site(40.0, -75.0), site(45.0, -75.0)]
@@ -225,14 +238,6 @@ class TestWriters:
         assert text.splitlines()[0] == "site,year,alpha,beta,bloom_doy"
         assert text.splitlines()[1] == "L1,2021,3.01235,0.251235,130"
         assert "\r" not in text
-
-    def test_regime_estimates_format(self, tmp_path):
-        est = regimes.RegimeEstimate(3.0, 0.25, 59, 61, 0.98)
-        path = tmp_path / "est.csv"
-        data_io.write_regime_estimates([("L1", 2021, est)], path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "site,year,alpha,beta,n_alpha,n_beta,r2"
-        assert lines[1] == "L1,2021,3,0.25,59,61,0.98"
 
 
 class TestPhenologyParsing:
@@ -258,6 +263,17 @@ class TestPhenologyParsing:
             "L1,40.0,-75.0,2021,400,common lilac,full bloom\n",
         )
         with pytest.raises(ParameterError):
+            data_io.parse_phenology_csv(path)
+
+    def test_non_integer_doy_names_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            "p.csv",
+            "site_id,lat,lon,year,bloom_doy,species,phenophase\n"
+            "L1,40.0,-75.0,2021,130,common lilac,full bloom\n"
+            "L2,40.0,-75.0,2021,131.5,common lilac,full bloom\n",
+        )
+        with pytest.raises(ParameterError, match=r"p\.csv:3: "):
             data_io.parse_phenology_csv(path)
 
     def test_missing_header(self, tmp_path):

@@ -100,11 +100,26 @@ class TestBatchProperties:
         b = simulate.simulate_hitting_times(spec, 500.0, 300, seed=5)
         assert np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_replicate_i_reads_substream_i(self):
         spec = simulate.TemperatureProcessSpec.piecewise_seasonal(4, 0.4, 20)
-        serial = simulate.simulate_hitting_times(spec, 1000.0, 400, seed=9, threads=1)
-        threaded = simulate.simulate_hitting_times(spec, 1000.0, 400, seed=9, threads=4)
-        assert np.array_equal(serial, threaded)
+        times = simulate.simulate_hitting_times(spec, 1000.0, 400, seed=9, cell=3)
+        for i in (0, 200, 399):
+            alone = simulate.simulate_hitting_time(spec, 1000.0, simulate.substream(9, 3, i))
+            assert times[i] == alone, f"replicate {i}"
+
+    @pytest.mark.parametrize(
+        "spec, tau, cell, expected",
+        [
+            # winter paths of ~1000 days cross up to the fourth block (day 1792+)
+            (linear(2, 0, 20), 2000.0, 1, [1803, 1197, 1115, 1993, 533, 950]),
+            (linear(1, 0, 30, clip_at_base=True), 500.0, 3, [37, 39, 46, 51, 54, 68]),
+        ],
+    )
+    def test_golden_hitting_times(self, spec, tau, cell, expected):
+        # recorded under the SeedSequence((seed, cell, i)) contract and the
+        # 256..4096-day block schedule; a change here changes every seeded output
+        times = simulate.simulate_hitting_times(spec, tau, len(expected), seed=7, cell=cell)
+        assert times.tolist() == expected
 
     def test_pathwise_monotone_in_tau(self):
         spec = linear(4, 0.1, 20)
