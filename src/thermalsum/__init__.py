@@ -34,12 +34,12 @@ from .model import (
     theory_approx,
 )
 from .simulate import (
+    SimulationGrid,
     SimulationResult,
-    Simulation2Grid,
     TemperatureProcessSpec,
     ks_distance,
+    run_grid,
     run_simulation_1,
-    run_simulation_2,
     simulate_hitting_time,
     simulate_hitting_times,
 )

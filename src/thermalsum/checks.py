@@ -15,7 +15,7 @@ from scipy.special import log_ndtr, ndtr
 
 from . import reference
 from .fitting import BinnedGrid, WinterFit
-from .simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, Simulation2Grid, SimulationResult
+from .simulate import SIM2_ALPHAS, SIM2_BETAS, SimulationGrid, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Check:
     detail: str
 
 
-def sim2_mean_checks(grid: Simulation2Grid) -> list[Check]:
+def sim2_mean_checks(grid: SimulationGrid) -> list[Check]:
     out = []
     for key in sorted(reference.SIM2_MEANS):
         a, b, tau = key
@@ -42,7 +42,7 @@ def sim2_mean_checks(grid: Simulation2Grid) -> list[Check]:
     return out
 
 
-def sim2_sd_checks(grid: Simulation2Grid) -> list[Check]:
+def sim2_sd_checks(grid: SimulationGrid) -> list[Check]:
     out = []
     for key in sorted(reference.SIM2_SDS):
         a, b, tau = key
@@ -121,9 +121,7 @@ def _normal_ig_gap(alpha: float, sigma: float, tau: float) -> float:
     return float(np.max(np.abs(cdf_gap(0.5 * (lo + hi))), initial=0.0))
 
 
-def sim1_ks_checks(
-    results: dict[tuple[float, float, float], SimulationResult], sigma: float
-) -> list[Check]:
+def sim1_ks_checks(grid: SimulationGrid) -> list[Check]:
     """KS distance of the standardized hitting times from Normal(0,1), per cell.
 
     A spring cell must stay under SIM1_KS_BOUND. A winter cell's hitting law
@@ -133,13 +131,13 @@ def sim1_ks_checks(
     SIM1_KS_DKW_LEVEL for the cell's R replicates.
     """
     out = []
-    for key in sorted(results):
+    for key in sorted(grid.cells):
         a, b, tau = key
-        res = results[key]
+        res = grid.cells[key]
         ks = res.ks
         bound, why = reference.SIM1_KS_BOUND, ""
         if ks is not None and b == 0:
-            gap = _normal_ig_gap(a, sigma, tau)
+            gap = _normal_ig_gap(a, grid.sigma, tau)
             eps = math.sqrt(math.log(2.0 / reference.SIM1_KS_DKW_LEVEL) / (2 * res.replicate_count))
             bound = max(bound, gap + eps)
             why = f" (max({reference.SIM1_KS_BOUND}, IG gap {gap:.4f} + DKW {eps:.4f}))"
@@ -153,9 +151,7 @@ def sim1_ks_checks(
     return out
 
 
-def sim1_improvement_check(
-    results: dict[tuple[float, float, float], SimulationResult]
-) -> Check:
+def sim1_improvement_check(grid: SimulationGrid) -> Check:
     """Winter normal agreement must strictly improve from the lowest to the highest tau.
 
     The winter normal law errs by the inverse-Gaussian skewness
@@ -165,12 +161,12 @@ def sim1_improvement_check(
     whole-day grid, so their KS need not fall; sim1_ks_checks bounds them at
     every tau.
     """
-    taus = sorted(SIM1_TAUS)
+    taus = sorted(grid.taus)
     improved, pairs = 0, 0
     winter, spring = [], []
-    for a, b in product(SIM1_ALPHAS, SIM1_BETAS):
-        lo = results[(a, b, taus[0])].ks
-        hi = results[(a, b, taus[-1])].ks
+    for a, b in product(grid.alphas, grid.betas):
+        lo = grid.cells[(a, b, taus[0])].ks
+        hi = grid.cells[(a, b, taus[-1])].ks
         if lo is None or hi is None:
             continue
         line = f"a={a:g},b={b:g}: {lo:.4f}->{hi:.4f}"
@@ -274,10 +270,8 @@ def synthetic_binning_checks(grid: BinnedGrid) -> list[Check]:
     tau=1000 reference means cell for cell within the mean tolerance.
     """
     out = []
-    alphas = (4.0, 8.0, 10.0)
-    betas = (0.2, 0.4, 0.8)
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
+    for i, a in enumerate(SIM2_ALPHAS):
+        for j, b in enumerate(SIM2_BETAS):
             expected = reference.SIM2_MEANS[(a, b, 1000.0)]
             got = float(grid.means[i, j])
             diff = abs(got - expected)

@@ -141,21 +141,23 @@ def _reproduce_sim1(
     seed: int, replicates: int, out: Path, force: bool, check_mode: bool, write_raw: bool
 ) -> None:
     run = _run_dir(out, "sim1", seed, force)
-    results = simulate.run_simulation_1_grid(seed, replicates=replicates)
-    for (a, b, tau), res in results.items():
+    grid = simulate.run_grid(
+        seed, simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS, replicates=replicates
+    )
+    for (a, b, tau), res in grid.cells.items():
         tag = f"a{a:g}_b{b:g}_tau{tau:g}"
         if res.z_values is not None:
             _write_lines(run / f"hist_{tag}.csv", simulate.histogram_csv_rows(res.z_values))
         if write_raw:
             _write_lines(run / f"raw_{tag}.txt", [str(int(t)) for t in res.hitting_times])
-    _write_lines(run / "summary.csv", simulate.summary_csv_rows(results, simulate.DEFAULT_SIGMA))
-    click.echo(f"sim1: {len(results)} grid cells x {replicates} replicates -> {run}")
+    _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid))
+    click.echo(f"sim1: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
 
-    all_checks = checks.sim1_ks_checks(results, sigma=simulate.DEFAULT_SIGMA)
-    all_checks.append(checks.sim1_improvement_check(results))
+    all_checks = checks.sim1_ks_checks(grid)
+    all_checks.append(checks.sim1_improvement_check(grid))
     all_checks.extend(
         checks.winter_agreement_checks(
-            results[(4.0, 0.0, 2000.0)], tau=2000.0, alpha=4.0, sigma=simulate.DEFAULT_SIGMA
+            grid.cells[(4.0, 0.0, 2000.0)], tau=2000.0, alpha=4.0, sigma=grid.sigma
         )
     )
     _finish_checks(all_checks, check_mode)
@@ -165,9 +167,12 @@ def _reproduce_sim2(
     seed: int, replicates: int, out: Path, force: bool, check_mode: bool
 ) -> None:
     run = _run_dir(out, "sim2", seed, force)
-    grid = simulate.run_simulation_2(seed=seed, replicates=replicates)
+    grid = simulate.run_grid(
+        seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, simulate.SIM2_TAUS,
+        breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=replicates,
+    )
     (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
-    _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid.cells, grid.sigma))
+    _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid))
     click.echo(f"sim2: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
     _finish_checks(checks.sim2_mean_checks(grid) + checks.sim2_sd_checks(grid), check_mode)
 
@@ -245,8 +250,7 @@ def _reproduce_lilac_bins(
     )
     triples = [(r.alpha_hat, r.beta_hat, float(r.bloom_doy)) for r in rows]
     grid = fitting.bin_location_scale(triples, k=4)
-    tables = grid.format_table("mean") + "\n" + grid.format_table("sd") + "\n" + grid.format_table("count")
-    (run / "tables.txt").write_text(tables, encoding="utf-8", newline="\n")
+    (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
     _write_lines(run / "grid.csv", fitting.grid_csv_rows(grid))
     click.echo(f"lilac-bins -> {run}")
     if check_mode:
@@ -267,15 +271,17 @@ def _lilac_synthetic_fallback(seed: int, replicates: int, out: Path, force: bool
     """
     click.echo("lilac data not found; running the synthetic binning pipeline check")
     run = _run_dir(out, "lilac-bins", seed, force)
-    grid = simulate.run_simulation_2(seed=seed, replicates=replicates, taus=(1000.0,))
+    grid = simulate.run_grid(
+        seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, (1000.0,),
+        breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=replicates,
+    )
     triples = []
     for (a, b, _tau), res in sorted(grid.cells.items()):
         triples.extend((a, b, float(t)) for t in res.hitting_times)
     binned = fitting.bin_location_scale(
         triples, alpha_edges=(3.0, 6.0, 9.0, 11.0), beta_edges=(0.1, 0.3, 0.6, 0.9)
     )
-    tables = binned.format_table("mean") + "\n" + binned.format_table("sd") + "\n" + binned.format_table("count")
-    (run / "tables.txt").write_text(tables, encoding="utf-8", newline="\n")
+    (run / "tables.txt").write_text(binned.format_tables(), encoding="utf-8", newline="\n")
     _write_lines(run / "grid.csv", fitting.grid_csv_rows(binned))
     click.echo(f"lilac-bins (synthetic) -> {run}")
     _finish_checks(checks.synthetic_binning_checks(binned), True)

@@ -204,6 +204,10 @@ class BinnedGrid:
             lines.append(f"{label:<16}" + "".join(cells))
         return "\n".join(lines) + "\n"
 
+    def format_tables(self) -> str:
+        """The mean, sd and count tables, separated by blank lines."""
+        return "\n".join(self.format_table(kind) for kind in ("mean", "sd", "count"))
+
 
 def _interval_labels(edges: np.ndarray) -> list[str]:
     labels = []

@@ -31,6 +31,7 @@ SIM1_TAUS = (1000.0, 2000.0)
 SIM2_ALPHAS = (4.0, 8.0, 10.0)
 SIM2_BETAS = (0.2, 0.4, 0.8)
 SIM2_TAUS = (1000.0, 2000.0)
+SIM2_BREAKPOINT_DAY = 90
 
 _START_BLOCK = 256
 _MAX_BLOCK = 4096
@@ -38,11 +39,11 @@ _MAX_BLOCK = 4096
 
 @dataclass(frozen=True)
 class TemperatureProcessSpec:
-    """Daily temperature process: trend shape, noise law, optional base clipping.
+    """Daily temperature process: trend, noise law, optional base clipping.
 
-    trend "linear": mu_i = alpha + beta*i for all i >= 1.
-    trend "piecewise": mu_i = alpha for i <= breakpoint_day, then
-    alpha + beta*(i - breakpoint_day), extended linearly without end.
+    The trend is mu_i = alpha + beta*max(i - breakpoint_day, 0) for days
+    i >= 1: flat at alpha through breakpoint_day, then rising at beta without
+    end. breakpoint_day = 0 is the linear trend alpha + beta*i.
     noise_law "gaussian" draws Normal(0, sigma^2); "two_point" draws +-sigma
     with equal probability (mean 0, variance sigma^2), which admits exact
     enumeration of small instances. clip_at_base clips each day's value at 0
@@ -52,44 +53,24 @@ class TemperatureProcessSpec:
     alpha: float
     beta: float
     noise_sigma: float
-    trend: str = "linear"
-    breakpoint_day: int = 90
+    breakpoint_day: int = 0
     noise_law: str = "gaussian"
     clip_at_base: bool = False
 
     def __post_init__(self) -> None:
-        if self.trend not in ("linear", "piecewise"):
-            raise ParameterError(f"trend must be 'linear' or 'piecewise', got {self.trend!r}")
         if self.noise_law not in ("gaussian", "two_point"):
             raise ParameterError(
                 f"noise_law must be 'gaussian' or 'two_point', got {self.noise_law!r}"
             )
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.trend == "piecewise" and self.breakpoint_day < 1:
-            raise ParameterError(f"breakpoint_day must be >= 1, got {self.breakpoint_day}")
-
-    @classmethod
-    def linear_trend(cls, alpha: float, beta: float, noise_sigma: float,
-                     **kwargs) -> "TemperatureProcessSpec":
-        return cls(alpha=alpha, beta=beta, noise_sigma=noise_sigma, trend="linear", **kwargs)
-
-    @classmethod
-    def piecewise_seasonal(cls, alpha: float, beta: float, noise_sigma: float,
-                           breakpoint_day: int = 90, **kwargs) -> "TemperatureProcessSpec":
-        return cls(alpha=alpha, beta=beta, noise_sigma=noise_sigma, trend="piecewise",
-                   breakpoint_day=breakpoint_day, **kwargs)
+        if self.breakpoint_day < 0:
+            raise ParameterError(f"breakpoint_day must be >= 0, got {self.breakpoint_day}")
 
     def mean_at(self, days: np.ndarray) -> np.ndarray:
         """Trend value mu_i for an array of day indices (1-based)."""
         days = np.asarray(days, dtype=float)
-        if self.trend == "linear":
-            return self.alpha + self.beta * days
-        return np.where(
-            days <= self.breakpoint_day,
-            self.alpha,
-            self.alpha + self.beta * (days - self.breakpoint_day),
-        )
+        return self.alpha + self.beta * np.maximum(days - self.breakpoint_day, 0.0)
 
 
 @dataclass
@@ -99,12 +80,12 @@ class SimulationResult:
     z_values standardizes the hitting times against the closed-form
     approximation for the matching regime ((nu - mean_theory) / sd_theory);
     it is None when sigma == 0, where the theoretical spread is zero and
-    standardization is undefined. ks is the sup-norm distance between the
+    standardization is undefined, and for a trend with a breakpoint, which
+    the closed forms do not describe. ks is the sup-norm distance between the
     empirical z distribution and the standard normal CDF.
     """
 
     hitting_times: np.ndarray
-    replicate_count: int
     mean: float
     sd: float
     seed: int
@@ -113,9 +94,9 @@ class SimulationResult:
     ks: float | None = None
     theory: model.HittingTimeApprox | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.hitting_times) != self.replicate_count:
-            raise ParameterError("hitting_times length must equal replicate_count")
+    @property
+    def replicate_count(self) -> int:
+        return len(self.hitting_times)
 
 
 def substream(seed: int, cell: int, replicate: int) -> np.random.Generator:
@@ -256,19 +237,32 @@ def _run_cell(
     replicates: int,
     seed: int,
     cell: int,
-    max_horizon: int,
+    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> SimulationResult:
-    """Simulate one grid cell, verify its stopping rule and summarize it."""
+    """Simulate one grid cell, verify its stopping rule and summarize it.
+
+    On a linear trend with noise the hitting times are standardized against
+    the matching regime approximation (winter closed form when beta == 0,
+    linearized spring form when beta > 0), and the KS distance of the
+    standardized values from Normal(0,1) is attached.
+    """
     times = simulate_hitting_times(spec, tau, replicates, seed, cell, max_horizon)
     verify_stopping(spec, tau, seed, cell, times, max_horizon)
-    return SimulationResult(
+    result = SimulationResult(
         hitting_times=times,
-        replicate_count=replicates,
         mean=float(times.mean()),
         sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
         seed=seed,
         max_horizon=max_horizon,
     )
+    if spec.breakpoint_day == 0 and spec.noise_sigma > 0:
+        params = model.RegimeParams(
+            alpha=spec.alpha, beta=spec.beta, sigma=spec.noise_sigma, tau=tau
+        )
+        result.theory = model.theory_approx(params)
+        result.z_values = (times - result.theory.mean) / result.theory.sd
+        result.ks = ks_distance(result.z_values)
+    return result
 
 
 def run_simulation_1(
@@ -283,42 +277,17 @@ def run_simulation_1(
 ) -> SimulationResult:
     """Linear-trend verification run for one (alpha, beta, tau) grid point.
 
-    Hitting times are standardized against the matching regime approximation
-    (winter closed form when beta == 0, linearized spring form when beta > 0)
-    and the KS distance of the standardized values from Normal(0,1) is
-    attached. With sigma == 0 the path is deterministic: all hitting times
-    coincide and z/ks are None.
+    The result carries the normality diagnostics of _run_cell. With
+    sigma == 0 the path is deterministic: all hitting times coincide and
+    z/ks are None.
     """
-    spec = TemperatureProcessSpec.linear_trend(alpha, beta, sigma)
-    result = _run_cell(spec, tau, replicates, seed, cell, max_horizon)
-    if sigma > 0:
-        params = model.RegimeParams(alpha=alpha, beta=beta, sigma=sigma, tau=tau)
-        theory = model.theory_approx(params)
-        z = (result.hitting_times - theory.mean) / theory.sd
-        result.z_values = z
-        result.ks = ks_distance(z)
-        result.theory = theory
-    return result
-
-
-def run_simulation_1_grid(
-    seed: int, replicates: int = DEFAULT_REPLICATES
-) -> dict[tuple[float, float, float], SimulationResult]:
-    """run_simulation_1 over the bundled (alpha, beta, tau) grid.
-
-    Cell c is the c-th point of product(SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS);
-    that numbering is part of the substream contract.
-    """
-    cells = product(SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS)
-    return {
-        (a, b, tau): run_simulation_1(a, b, tau, replicates=replicates, seed=seed, cell=cell)
-        for cell, (a, b, tau) in enumerate(cells)
-    }
+    spec = TemperatureProcessSpec(alpha, beta, sigma)
+    return _run_cell(spec, tau, replicates, seed, cell, max_horizon)
 
 
 @dataclass
-class Simulation2Grid:
-    """Replicate means and sds over the seasonal (alpha, beta, tau) grid."""
+class SimulationGrid:
+    """Per-cell results over an (alpha, beta, tau) grid."""
 
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
@@ -349,44 +318,41 @@ class Simulation2Grid:
         return "\n\n".join(blocks) + "\n"
 
 
-def run_simulation_2(
+def run_grid(
     seed: int,
-    alphas: Sequence[float] = SIM2_ALPHAS,
-    betas: Sequence[float] = SIM2_BETAS,
-    taus: Sequence[float] = SIM2_TAUS,
-    sigma: float = DEFAULT_SIGMA,
+    alphas: Sequence[float],
+    betas: Sequence[float],
+    taus: Sequence[float],
+    *,
+    breakpoint_day: int = 0,
     replicates: int = DEFAULT_REPLICATES,
-    breakpoint_day: int = 90,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
-) -> Simulation2Grid:
-    """Seasonal verification run: piecewise trend, no clipping, full grid.
+) -> SimulationGrid:
+    """Simulate every (alpha, beta, tau) cell of a grid at DEFAULT_SIGMA.
 
-    The trend is flat at alpha through breakpoint_day and rises at beta
-    thereafter (continuing past day 180 without modification). Daily values
-    are not clipped at the base temperature: the reference tables this run
-    reproduces are generated from unclipped sums. Each cell uses its own
-    substream family, so the grid is reproducible cell by cell.
+    Cell c is the c-th point of product(alphas, betas, taus); that numbering
+    is part of the substream contract. The bundled runs are sim1 (the SIM1_*
+    axes, linear trend) and sim2 (the SIM2_* axes, breakpoint_day =
+    SIM2_BREAKPOINT_DAY). Daily values are not clipped at the base
+    temperature: the reference tables are generated from unclipped sums.
     """
-    grid = Simulation2Grid(
+    grid = SimulationGrid(
         alphas=tuple(alphas), betas=tuple(betas), taus=tuple(taus),
-        sigma=sigma, replicates=replicates, seed=seed,
+        sigma=DEFAULT_SIGMA, replicates=replicates, seed=seed,
     )
     for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
-        spec = TemperatureProcessSpec.piecewise_seasonal(a, b, sigma, breakpoint_day=breakpoint_day)
-        grid.cells[(a, b, tau)] = _run_cell(spec, tau, replicates, seed, cell, max_horizon)
+        spec = TemperatureProcessSpec(a, b, grid.sigma, breakpoint_day=breakpoint_day)
+        grid.cells[(a, b, tau)] = _run_cell(spec, tau, replicates, seed, cell)
     return grid
 
 
-def summary_csv_rows(
-    results: dict[tuple[float, float, float], SimulationResult], sigma: float
-) -> list[str]:
-    """CSV lines (with header) for a mapping of (alpha, beta, tau) -> result."""
+def summary_csv_rows(grid: SimulationGrid) -> list[str]:
+    """CSV lines (with header), one per grid cell in sorted (alpha, beta, tau) order."""
     lines = ["alpha,beta,tau,sigma,R,seed,mean,sd,ks"]
-    for (a, b, tau) in sorted(results):
-        r = results[(a, b, tau)]
+    for (a, b, tau) in sorted(grid.cells):
+        r = grid.cells[(a, b, tau)]
         ks = "" if r.ks is None else f"{r.ks:.6g}"
         lines.append(
-            f"{a:.6g},{b:.6g},{tau:.6g},{sigma:.6g},{r.replicate_count},{r.seed},"
+            f"{a:.6g},{b:.6g},{tau:.6g},{grid.sigma:.6g},{r.replicate_count},{r.seed},"
             f"{r.mean:.6g},{r.sd:.6g},{ks}"
         )
     return lines

@@ -37,13 +37,18 @@ def report(tag: str, ok: bool, detail: str) -> str:
 @pytest.fixture(scope="session")
 def sim2_grid():
     t0 = time.perf_counter()
-    grid = simulate.run_simulation_2(seed=ACCEPTANCE_SEED)
+    grid = simulate.run_grid(
+        ACCEPTANCE_SEED, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, simulate.SIM2_TAUS,
+        breakpoint_day=simulate.SIM2_BREAKPOINT_DAY,
+    )
     return grid, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def sim1_results():
-    return simulate.run_simulation_1_grid(ACCEPTANCE_SEED)
+def sim1_grid():
+    return simulate.run_grid(
+        ACCEPTANCE_SEED, simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS
+    )
 
 
 @pytest.fixture(scope="session")
@@ -85,8 +90,8 @@ def test_criterion_2_seasonal_sd_grid(sim2_grid):
     assert not failures, line
 
 
-def test_criterion_3_standardized_normality(sim1_results):
-    outcomes = checks.sim1_ks_checks(sim1_results, sigma=simulate.DEFAULT_SIGMA)
+def test_criterion_3_standardized_normality(sim1_grid):
+    outcomes = checks.sim1_ks_checks(sim1_grid)
     failures = [c for c in outcomes if not c.ok]
     table = "; ".join(f"{c.name}: {c.detail}" for c in outcomes)
     detail = (
@@ -104,18 +109,18 @@ def test_criterion_3_standardized_normality(sim1_results):
     assert not failures, line
 
 
-def test_criterion_3_agreement_improves_with_tau(sim1_results):
+def test_criterion_3_agreement_improves_with_tau(sim1_grid):
     # the winter normal law errs by the inverse-Gaussian skewness
     # 3*sigma/sqrt(alpha*tau), which shrinks with tau; the spring sd shrinks
     # with tau while hitting days stay whole, so spring KS is not required
     # to fall (3a bounds it at both thresholds)
-    outcome = checks.sim1_improvement_check(sim1_results)
+    outcome = checks.sim1_improvement_check(sim1_grid)
     line = report("3b", outcome.ok, outcome.detail)
     assert outcome.ok, line
 
 
-def test_criterion_4_winter_mean(sim1_results):
-    result = sim1_results[(4.0, 0.0, 2000.0)]
+def test_criterion_4_winter_mean(sim1_grid):
+    result = sim1_grid.cells[(4.0, 0.0, 2000.0)]
     c = checks.winter_agreement_checks(result, tau=2000.0, alpha=4.0, sigma=20.0)[0]
     detail = c.detail + (
         ""
@@ -131,8 +136,8 @@ def test_criterion_4_winter_mean(sim1_results):
     assert c.ok, line
 
 
-def test_criterion_4_winter_variance(sim1_results):
-    result = sim1_results[(4.0, 0.0, 2000.0)]
+def test_criterion_4_winter_variance(sim1_grid):
+    result = sim1_grid.cells[(4.0, 0.0, 2000.0)]
     c = checks.winter_agreement_checks(result, tau=2000.0, alpha=4.0, sigma=20.0)[1]
     line = report("4b", c.ok, c.detail)
     assert c.ok, line
@@ -206,7 +211,7 @@ def test_criterion_6_two_point_exactness():
     r = 100_000
     nmax = 12
     exact = _two_point_exact(tau=3.0, alpha=1.0, sigma=1.0, nmax=nmax)
-    spec = simulate.TemperatureProcessSpec.linear_trend(1.0, 0.0, 1.0, noise_law="two_point")
+    spec = simulate.TemperatureProcessSpec(1.0, 0.0, 1.0, noise_law="two_point")
     times = simulate.simulate_hitting_times(spec, 3.0, r, seed=ACCEPTANCE_SEED)
 
     atoms = {n: p for n, p in exact.items() if p > 0}
@@ -300,14 +305,18 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     assert ok, line
 
 
-def test_criterion_9_substream_identity(sim2_grid):
-    # replicate i of sim2 cell c (cells numbered in (alpha, beta, tau) product
+@pytest.mark.parametrize("target", ["sim1", "sim2"])
+def test_criterion_9_substream_identity(target, sim1_grid, sim2_grid):
+    # replicate i of cell c (cells numbered in (alpha, beta, tau) product
     # order) is the path drawn from SeedSequence((seed, c, i)) alone
-    grid, _ = sim2_grid
+    if target == "sim1":
+        grid, breakpoint_day = sim1_grid, 0
+    else:
+        grid, breakpoint_day = sim2_grid[0], simulate.SIM2_BREAKPOINT_DAY
     r = grid.replicates
     mismatches = []
     for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
-        spec = simulate.TemperatureProcessSpec.piecewise_seasonal(a, b, grid.sigma)
+        spec = simulate.TemperatureProcessSpec(a, b, grid.sigma, breakpoint_day=breakpoint_day)
         for i in (0, r // 2, r - 1):
             alone = simulate.simulate_hitting_time(
                 spec, tau, simulate.substream(ACCEPTANCE_SEED, cell, i)
@@ -316,7 +325,7 @@ def test_criterion_9_substream_identity(sim2_grid):
                 mismatches.append((a, b, tau, i))
     ok = not mismatches
     line = report(
-        "9b", ok,
+        f"9b {target}", ok,
         f"replicates 0, R/2, R-1 of all {len(grid.cells)} cells equal their substream "
         f"replayed alone" if ok else f"mismatched (alpha, beta, tau, i): {mismatches}",
     )

@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import invgauss
 
 from thermalsum import checks, reference
-from thermalsum.simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, SimulationResult
+from thermalsum.simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, SimulationGrid, SimulationResult
 
 
 def _dense_gap(alpha: float, sigma: float, tau: float, points: int = 200_001) -> float:
@@ -60,15 +60,16 @@ class TestNormalIgGap:
 
 def _fake_results(ks: dict[tuple[float, float], tuple[float, float]]):
     r = 10_000
-    out = {}
+    grid = SimulationGrid(alphas=SIM1_ALPHAS, betas=SIM1_BETAS, taus=SIM1_TAUS,
+                          sigma=20.0, replicates=r, seed=0)
     for a in SIM1_ALPHAS:
         for b in SIM1_BETAS:
             for tau, value in zip(sorted(SIM1_TAUS), ks[(a, b)]):
-                out[(a, b, tau)] = SimulationResult(
-                    hitting_times=np.ones(r, dtype=np.int64), replicate_count=r,
+                grid.cells[(a, b, tau)] = SimulationResult(
+                    hitting_times=np.ones(r, dtype=np.int64),
                     mean=1.0, sd=0.0, seed=0, max_horizon=10, ks=value,
                 )
-    return out
+    return grid
 
 
 class TestSim1Checks:
@@ -76,7 +77,7 @@ class TestSim1Checks:
         bound = reference.SIM1_KS_BOUND
         results = _fake_results({(2.0, 0.0): (0.09, 0.07), (2.0, 0.1): (0.03, bound),
                                  (4.0, 0.0): (0.07, 0.06), (4.0, 0.1): (0.02, 0.03)})
-        outcome = {c.name: c.ok for c in checks.sim1_ks_checks(results, sigma=20.0)}
+        outcome = {c.name: c.ok for c in checks.sim1_ks_checks(results)}
         assert outcome["sim1 ks a=2 b=0 tau=1000"]  # D 0.085 + 0.0195
         assert outcome["sim1 ks a=2 b=0 tau=2000"]  # D 0.062 + 0.0195
         assert not outcome["sim1 ks a=2 b=0.1 tau=2000"]  # spring: strict 0.05

@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +97,49 @@ class TestReproduceSim1:
         assert result.exit_code == 0, result.output
         ks_lines = [ln for ln in result.output.splitlines() if "sim1 ks a=" in ln]
         assert len(ks_lines) == 8 and all("< bound" in ln for ln in ks_lines)
+
+
+# sha256 of every file in the run directories of `reproduce sim1 --seed 7
+# --r 200 --raw` and `reproduce sim2 --seed 7 --r 200`. They pin the seeded
+# outputs end to end: substreams, cell numbering, trend, summaries and export.
+GOLDEN_RUN_DIGESTS = {
+    "sim1-seed7": {
+        "hist_a2_b0.1_tau1000.csv": "4bc8abed25d489698a2ffb59037f4d98818ef2b7a7a0d7fbe474c27f55d234ed",
+        "hist_a2_b0.1_tau2000.csv": "995d88cb295f5002504562a2b612b0f2f6e1be190b8049be5e9a612c402e3386",
+        "hist_a2_b0_tau1000.csv": "3f22ec872b9979aeee324ca2c795941e6de459ad9d83f2661ae9a45e26de9276",
+        "hist_a2_b0_tau2000.csv": "631586c1f2b4853eb9c4251e9b438dfee9c5ae9f67aad9c652bf9c84323c407f",
+        "hist_a4_b0.1_tau1000.csv": "7428224b465eb492e5528cb09215c29c2b25d849291ba502ce823106e3a58fbb",
+        "hist_a4_b0.1_tau2000.csv": "1f6380502a11da76717fe0fa081f58e3617f0214338b5f105d850057f609f736",
+        "hist_a4_b0_tau1000.csv": "a566e791b5add81fbf73e6efed8e9c550a6970e6ee7fefe980ef87d8dc1318fd",
+        "hist_a4_b0_tau2000.csv": "fa12e71867d1bba2237d9c81fc13ff17aeec57d9f3ec667ee3e286ed6bc00aeb",
+        "raw_a2_b0.1_tau1000.txt": "a70c51b5d3295884a2502539bbf1823dc29ae2ae1ca02c27acaf9a34034408ca",
+        "raw_a2_b0.1_tau2000.txt": "420dc8f5b0b175991f099dc2657ef067372eb1b2f5cb06e511e4e04b39360dec",
+        "raw_a2_b0_tau1000.txt": "21cb8404875aae949f1637cf5078cfc489c479f2060eacf56b4d4ff023a6f1f6",
+        "raw_a2_b0_tau2000.txt": "b89eb18de16eaabeaaa1fc7a11e868a7e9610d5fdfe8a9a42b862f8e57a103f6",
+        "raw_a4_b0.1_tau1000.txt": "27f6c6ec337c6e0339141e3472879d4ccbba5cf586d8cbda165049d15c724837",
+        "raw_a4_b0.1_tau2000.txt": "cc5ef372f53015f3cfba53126854516d88a230be8b629d9e4267f66b49c1a601",
+        "raw_a4_b0_tau1000.txt": "56727d50c019bf984affee32d604586e428d117d1512fa35a2c9dc5d0f02ace1",
+        "raw_a4_b0_tau2000.txt": "60501922febfb2de1671efdf78739f0e6efc7024038ac13be13c3f0f6a21765b",
+        "summary.csv": "738e72016cb2b75c3dbe8480628c828d1afbd8cd28d854ac7395a4caf94c1c16",
+    },
+    "sim2-seed7": {
+        "summary.csv": "58b9a813ceb59d6af1db0a6a6afc667515d7b384a3ad034d5b8403a7be96503e",
+        "tables.txt": "4c7e0b993659c4e14a3efb5005f7a47a4e2729deb08c05f286b698813782e1d8",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "target, extra", [("sim1", ["--raw"]), ("sim2", [])], ids=["sim1", "sim2"]
+)
+def test_golden_run_directory(runner, tmp_path, target, extra):
+    result = runner.invoke(
+        main, ["reproduce", target, "--seed", "7", "--r", "200", "--out", str(tmp_path)] + extra
+    )
+    assert result.exit_code == 0, result.output
+    run = tmp_path / f"{target}-seed7"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
+    assert got == GOLDEN_RUN_DIGESTS[run.name]
 
 
 class TestReproduceWalnut:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from thermalsum import simulate
@@ -7,29 +9,42 @@ from thermalsum.errors import HorizonExceeded, ParameterError
 
 
 def linear(alpha, beta, sigma, **kw):
-    return simulate.TemperatureProcessSpec.linear_trend(alpha, beta, sigma, **kw)
+    return simulate.TemperatureProcessSpec(alpha, beta, sigma, **kw)
+
+
+def seasonal(alpha, beta, sigma):
+    return simulate.TemperatureProcessSpec(
+        alpha, beta, sigma, breakpoint_day=simulate.SIM2_BREAKPOINT_DAY
+    )
 
 
 class TestTemperatureProcessSpec:
     def test_rejects_bad_fields(self):
         with pytest.raises(ParameterError):
-            simulate.TemperatureProcessSpec(4, 0, 20, trend="cubic")
-        with pytest.raises(ParameterError):
             simulate.TemperatureProcessSpec(4, 0, 20, noise_law="cauchy")
         with pytest.raises(ParameterError):
             simulate.TemperatureProcessSpec(4, 0, -1)
         with pytest.raises(ParameterError):
-            simulate.TemperatureProcessSpec(4, 0, 20, trend="piecewise", breakpoint_day=0)
+            simulate.TemperatureProcessSpec(4, 0, 20, breakpoint_day=-1)
 
     def test_piecewise_mean_profile(self):
-        spec = simulate.TemperatureProcessSpec.piecewise_seasonal(4, 0.2, 20)
+        spec = seasonal(4, 0.2, 20)
         days = np.array([1, 90, 91, 180, 250])
         got = spec.mean_at(days)
         assert got == pytest.approx([4.0, 4.0, 4.2, 22.0, 36.0])
 
-    def test_linear_mean_profile(self):
-        spec = linear(4, 0.1, 20)
-        assert spec.mean_at(np.array([1, 10])) == pytest.approx([4.1, 5.0])
+    @given(
+        alpha=st.floats(-50, 50),
+        beta=st.floats(-5, 5),
+        sigma=st.floats(0, 50),
+        days=st.lists(st.integers(1, 20_000), min_size=1, max_size=50),
+    )
+    def test_linear_mean_profile(self, alpha, beta, sigma, days):
+        # breakpoint_day = 0 must be the linear trend bit for bit: the seeded
+        # outputs of the linear-trend runs rest on it
+        days = np.array(days)
+        got = simulate.TemperatureProcessSpec(alpha, beta, sigma).mean_at(days)
+        assert np.array_equal(got, alpha + beta * days)
 
 
 class TestSimulateHittingTime:
@@ -101,7 +116,7 @@ class TestBatchProperties:
         assert np.array_equal(a, b)
 
     def test_replicate_i_reads_substream_i(self):
-        spec = simulate.TemperatureProcessSpec.piecewise_seasonal(4, 0.4, 20)
+        spec = seasonal(4, 0.4, 20)
         times = simulate.simulate_hitting_times(spec, 1000.0, 400, seed=9, cell=3)
         for i in (0, 200, 399):
             alone = simulate.simulate_hitting_time(spec, 1000.0, simulate.substream(9, 3, i))
@@ -135,7 +150,7 @@ class TestBatchProperties:
         assert np.all(hi <= lo)
 
     def test_stopping_rule_on_replayed_paths(self):
-        spec = simulate.TemperatureProcessSpec.piecewise_seasonal(8, 0.4, 20)
+        spec = seasonal(8, 0.4, 20)
         times = simulate.simulate_hitting_times(spec, 1000.0, 50, seed=13)
         simulate.verify_stopping(spec, 1000.0, 13, 0, times, sample=range(50))
 
@@ -197,18 +212,32 @@ class TestRunSimulation1:
         assert res.ks == pytest.approx(simulate.ks_distance(z_expected))
 
 
-class TestRunSimulation2:
+class TestRunGrid:
     def test_grid_shape_and_accessors(self):
-        grid = simulate.run_simulation_2(
-            seed=3, alphas=(4.0,), betas=(0.2, 0.8), taus=(500.0,), replicates=60
+        grid = simulate.run_grid(
+            3, (4.0,), (0.2, 0.8), (500.0,),
+            breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=60,
         )
         assert set(grid.cells) == {(4.0, 0.2, 500.0), (4.0, 0.8, 500.0)}
         assert grid.mean(4.0, 0.2, 500.0) > grid.mean(4.0, 0.8, 500.0)
         assert grid.sd(4.0, 0.2, 500.0) > 0
 
+    def test_diagnostics_only_on_linear_trend(self):
+        # the closed forms describe the linear trend; a cell of a linear grid
+        # is the one-cell run at its own cell number
+        axes = ((4.0,), (0.1,), (500.0, 800.0))
+        linear_grid = simulate.run_grid(5, *axes, replicates=40)
+        seasonal_grid = simulate.run_grid(5, *axes, breakpoint_day=30, replicates=40)
+        alone = simulate.run_simulation_1(4.0, 0.1, 800.0, replicates=40, seed=5, cell=1)
+        cell = linear_grid.cells[(4.0, 0.1, 800.0)]
+        assert np.array_equal(cell.hitting_times, alone.hitting_times)
+        assert alone.ks is not None and cell.ks == alone.ks
+        assert all(r.ks is None and r.z_values is None for r in seasonal_grid.cells.values())
+
     def test_format_tables_layout(self):
-        grid = simulate.run_simulation_2(
-            seed=3, alphas=(4.0, 8.0), betas=(0.2,), taus=(500.0,), replicates=40
+        grid = simulate.run_grid(
+            3, (4.0, 8.0), (0.2,), (500.0,),
+            breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=40,
         )
         text = grid.format_tables()
         assert "mean, tau=500" in text
@@ -218,8 +247,8 @@ class TestRunSimulation2:
 
 class TestCsvHelpers:
     def test_summary_rows(self):
-        res = simulate.run_simulation_1(4, 0, 500, replicates=50, seed=1)
-        rows = simulate.summary_csv_rows({(4.0, 0.0, 500.0): res}, sigma=20.0)
+        grid = simulate.run_grid(1, (4.0,), (0.0,), (500.0,), replicates=50)
+        rows = simulate.summary_csv_rows(grid)
         assert rows[0] == "alpha,beta,tau,sigma,R,seed,mean,sd,ks"
         assert rows[1].startswith("4,0,500,20,50,1,")
 
