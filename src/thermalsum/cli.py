@@ -115,8 +115,9 @@ def reproduce(
     sim1: linear-trend hitting-time runs with normality diagnostics.
     sim2: seasonal piecewise-trend mean/sd grid. walnut: two-stage WLS fit
     of the constant-forcing experiment. lilac-bins: quartile-binned bloom
-    grids from pre-downloaded observational data (exits 3 without data;
-    with --check and no data, runs the synthetic binning pipeline instead).
+    grids from pre-downloaded observational data (exits 3 without data or
+    when no observation joins a complete station-year; with --check and no
+    data, runs the synthetic binning pipeline instead).
     Simulations run serially. Exit codes: 0 success, 1 check failure, 2 usage
     error or malformed input file, 3 missing data.
     """
@@ -240,14 +241,20 @@ def _reproduce_lilac_bins(
     observations = data_io.filter_phenology(
         phenology, species=DEFAULT_SPECIES, phenophase=DEFAULT_PHENOPHASE
     )
-    run = _run_dir(out, "lilac-bins", None, force)
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
-    data_io.write_analysis_rows(rows, run / "analysis_rows.csv")
     click.echo(
         f"lilac-bins: {diag.n_rows} rows from {diag.n_observations} observations "
         f"({diag.n_no_station} unmatched, {diag.n_insufficient} incomplete, "
         f"{parsed.rejected} rejected temperature rows)"
     )
+    if not rows:
+        click.echo(
+            "missing data: no observation joined a complete station-year "
+            "(see docs/DATA.md); nothing written"
+        )
+        sys.exit(3)
+    run = _run_dir(out, "lilac-bins", None, force)
+    data_io.write_analysis_rows(rows, run / "analysis_rows.csv")
     triples = [(r.alpha_hat, r.beta_hat, float(r.bloom_doy)) for r in rows]
     grid = fitting.bin_location_scale(triples, k=4)
     (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")

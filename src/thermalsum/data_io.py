@@ -38,7 +38,7 @@ PHENOLOGY_HEADER = ["site_id", "lat", "lon", "year", "bloom_doy", "species", "ph
 ANALYSIS_HEADER = ["site", "year", "alpha", "beta", "bloom_doy"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StationRecord:
     """One station-day of raw temperatures; tmax/tmin may be missing."""
 
@@ -126,19 +126,6 @@ def _parse_temperature_row(row: Sequence[str], scale: float) -> StationRecord:
     if tmax is not None and tmin is not None and tmax < tmin:
         raise ValueError("tmax < tmin")
     return StationRecord(station_id, date, lat, lon, tmax, tmin)
-
-
-def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) -> None:
-    """Emit records in the same format parse_temperature_csv reads (round-trips)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TEMPERATURE_HEADER) + "\n")
-        for r in records:
-            tmax = "" if r.tmax is None else f"{r.tmax:.6g}"
-            tmin = "" if r.tmin is None else f"{r.tmin:.6g}"
-            fh.write(
-                f"{r.station_id},{r.date.isoformat()},{r.latitude:.6g},"
-                f"{r.longitude:.6g},{tmax},{tmin}\n"
-            )
 
 
 def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
@@ -250,29 +237,41 @@ class JoinDiagnostics:
 
 def build_analysis_rows(
     observations: Iterable[PhenologyObservation],
-    records: Sequence[StationRecord],
+    records: Iterable[StationRecord],
     max_km: float = MATCH_CUTOFF_KM,
 ) -> tuple[list[AnalysisRow], JoinDiagnostics]:
     """Join observations to matched station-years with passing regime estimates.
 
     An observation yields a row only when a station qualifies within max_km
     and both estimation windows pass their completeness gates; everything
-    else is counted in the diagnostics.
+    else is counted in the diagnostics. The archive is walked once: each
+    station-year's records, in file order, are exactly those
+    midrange_series would pick out of the whole archive, so a repeated
+    station-day keeps its last complete reading.
     """
-    coords = station_coordinates(records)
+    groups: dict[tuple[str, int], list[StationRecord]] = {}
+    for r in records:
+        groups.setdefault((r.station_id, r.date.year), []).append(r)
+    # a station's first group starts with its first record
+    coords = station_coordinates(group[0] for group in groups.values())
     diag = JoinDiagnostics()
     rows: list[AnalysisRow] = []
+    # the match depends only on the site's coordinates
+    matches: dict[tuple[float, float], str | None] = {}
     # one estimate per station-year; None marks a failed completeness gate
     estimates: dict[tuple[str, int], regimes.RegimeEstimate | None] = {}
     for obs in observations:
         diag.n_observations += 1
-        sid = match_station(obs, coords, max_km=max_km)
+        where = (obs.latitude, obs.longitude)
+        if where not in matches:
+            matches[where] = match_station(obs, coords, max_km=max_km)
+        sid = matches[where]
         if sid is None:
             diag.n_no_station += 1
             continue
         key = (sid, obs.year)
         if key not in estimates:
-            series = regimes.clip_base(midrange_series(records, sid, obs.year))
+            series = regimes.clip_base(midrange_series(groups.get(key, ()), sid, obs.year))
             try:
                 estimates[key] = regimes.estimate_regime(series)
             except (InsufficientData, DegenerateDesign):

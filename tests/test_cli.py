@@ -4,6 +4,7 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from station_csv import write_temperature_csv
 from thermalsum import data_io, regimes
 from thermalsum.cli import main
 
@@ -169,7 +170,7 @@ def _write_lilac_fixture(root):
                 records.append(
                     data_io.StationRecord(sid, day, lat, -75.0, mid + 1.0, mid - 1.0)
                 )
-    data_io.write_temperature_csv(records, root / "daily_temperatures.csv")
+    write_temperature_csv(records, root / "daily_temperatures.csv")
     lines = ["site_id,lat,lon,year,bloom_doy,species,phenophase"]
     doy = 120
     for i, (lat, year) in enumerate(
@@ -245,6 +246,23 @@ class TestReproduceLilacBins:
         )
         assert result.exit_code == 2, result.output
         assert filename in result.output
+        assert not (tmp_path / "runs").exists()
+
+    def test_zero_joined_rows_exits_3_without_run_dir(self, runner, tmp_path):
+        _write_lilac_fixture(tmp_path / "data")
+        (tmp_path / "data" / "lilac_phenology.csv").write_text(
+            "site_id,lat,lon,year,bloom_doy,species,phenophase\n"
+            "L9,10.0,-75.0,2021,130,common lilac,full bloom\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "0 rows from 1 observations (1 unmatched" in result.output
+        assert "no observation joined a complete station-year" in result.output
         assert not (tmp_path / "runs").exists()
 
     def test_check_without_data_requires_seed(self, runner, tmp_path):

@@ -1,9 +1,13 @@
+import dataclasses
 import datetime
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from station_csv import write_temperature_csv
 from thermalsum import data_io, regimes
 from thermalsum.errors import EmptyFile, MissingHeader, ParameterError
 
@@ -89,10 +93,40 @@ class TestParseTemperatureCsv:
             data_io.StationRecord("S2", datetime.date(2020, 2, 29), -12.0, 130.0, None, 1.5),
         ]
         path = tmp_path / "out.csv"
-        data_io.write_temperature_csv(records, path)
+        write_temperature_csv(records, path)
         back = data_io.parse_temperature_csv(path)
         assert back.rejected == 0
         assert back.records == records
+
+
+# values the writer's .6g format keeps exactly: tenths of a degree, blanks,
+# coordinates at 3 decimals
+_tenths = st.none() | st.integers(-600, 600).map(lambda k: k / 10)
+
+
+@st.composite
+def station_records(draw):
+    tmax, tmin = draw(_tenths), draw(_tenths)
+    if tmax is not None and tmin is not None and tmax < tmin:
+        tmax, tmin = tmin, tmax
+    return data_io.StationRecord(
+        station_id=draw(st.text(alphabet="ABCUS019:", min_size=1, max_size=8)),
+        date=draw(st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 12, 31))),
+        latitude=draw(st.integers(-90_000, 90_000)) / 1000,
+        longitude=draw(st.integers(-180_000, 180_000)) / 1000,
+        tmax=tmax,
+        tmin=tmin,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(station_records(), max_size=20))
+def test_temperature_csv_round_trip(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("round_trip") / "t.csv"
+    write_temperature_csv(records, path)
+    back = data_io.parse_temperature_csv(path)
+    assert back.rejected == 0
+    assert back.records == records
 
 
 class TestMidrangeSeries:
@@ -227,6 +261,94 @@ class TestBuildAnalysisRows:
         obs = [site(40.0, -75.0), site(45.0, -75.0)]
         rows, diag = data_io.build_analysis_rows(obs, records)
         assert len(rows) <= diag.n_observations == 2
+
+    def test_one_match_per_site(self, monkeypatch):
+        calls = []
+        real = data_io.match_station
+        monkeypatch.setattr(
+            data_io, "match_station", lambda o, *a, **kw: calls.append(o) or real(o, *a, **kw)
+        )
+        records = synthetic_year_records("ST1", 40.0, -75.0)
+        obs = [site(40.0, -75.0), site(45.0, -75.0), site(40.0, -75.0), site(45.0, -75.0)]
+        rows, diag = data_io.build_analysis_rows(obs, records)
+        assert len(calls) == 2
+        assert diag.n_rows == len(rows) == 2 and diag.n_no_station == 2
+
+
+def sites_each_year(lats, years=(2020, 2021)):
+    return [dataclasses.replace(site(lat, -75.0), year=year) for lat in lats for year in years]
+
+
+class TestStationYearIndex:
+    """What grouping the archive by station-year must keep from the full scan."""
+
+    def join(self, records, obs=(site(40.0, -75.0),)):
+        return data_io.build_analysis_rows(obs, records)
+
+    def test_later_complete_record_replaces_earlier(self):
+        records = synthetic_year_records("ST1", 40.0, -75.0)
+        day = records[9]  # Jan 10, inside the alpha window
+        later = dataclasses.replace(day, tmax=day.tmax + 4.0, tmin=day.tmin + 4.0)
+        replaced = records[:9] + [later] + records[10:]
+        assert self.join(records + [later]) == self.join(replaced) != self.join(records)
+
+    def test_later_blank_reading_keeps_earlier_complete_one(self):
+        records = synthetic_year_records("ST1", 40.0, -75.0)
+        blank = dataclasses.replace(records[9], tmax=None)
+        assert self.join(records + [blank]) == self.join(records)
+
+    def test_station_coordinates_come_from_first_row(self):
+        year_2021 = synthetic_year_records("ST1", 45.0, -75.0)
+        first = dataclasses.replace(year_2021[0], latitude=40.0)
+        records = [first] + synthetic_year_records("ST1", 45.0, -75.0, year=2020) + year_2021[1:]
+        rows, diag = self.join(records, [site(40.0, -75.0), site(45.0, -75.0)])
+        assert diag.n_rows == len(rows) == 1
+        assert diag.n_no_station == 1
+
+    def test_each_series_reads_only_its_station_year(self, monkeypatch):
+        sizes = []
+        real = data_io.midrange_series
+
+        def counting(records, station_id, year):
+            records = list(records)
+            sizes.append(len(records))
+            return real(records, station_id, year)
+
+        monkeypatch.setattr(data_io, "midrange_series", counting)
+        lats = (40.0, 42.0, 44.0)
+        records = [
+            r
+            for i, lat in enumerate(lats)
+            for year in (2020, 2021)
+            for r in synthetic_year_records(f"ST{i}", lat, -75.0, year=year)
+        ]
+        rows, _ = self.join(records, sites_each_year(lats))
+        assert len(sizes) == len(rows) == 6
+        assert sum(sizes) <= len(records)
+
+
+@st.composite
+def archives(draw):
+    """Unique station-days at fixed coordinates, some windows gappy."""
+    records = []
+    for i, lat in enumerate((40.0, 42.0)):
+        for year in (2020, 2021):
+            year_records = synthetic_year_records(
+                f"ST{i}", lat, -75.0, year=year,
+                alpha=draw(st.floats(-2.0, 8.0)), beta=draw(st.floats(0.05, 0.35)),
+            )
+            gaps = draw(st.sets(st.integers(0, len(year_records) - 1), max_size=40))
+            records += [r for k, r in enumerate(year_records) if k not in gaps]
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_join_ignores_record_order(data):
+    records = data.draw(archives())
+    shuffled = data.draw(st.permutations(records))
+    obs = sites_each_year((40.0, 42.0, 44.0))  # 44 N has no station
+    assert data_io.build_analysis_rows(obs, shuffled) == data_io.build_analysis_rows(obs, records)
 
 
 class TestWriters:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalsum import fitting
 from thermalsum.errors import NonPositiveEstimate, ParameterError, SingularFit
@@ -184,6 +186,31 @@ class TestBinLocationScale:
             fitting.bin_location_scale(
                 [(1.0, 0.5, 100.0)], alpha_edges=[2, 0], beta_edges=[0, 1]
             )
+
+
+_values = st.floats(-50.0, 50.0)
+_triples = st.lists(
+    st.tuples(_values, _values, st.integers(1, 366).map(float)), min_size=4, max_size=60
+)
+_edges = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=5).map(sorted)
+
+
+@settings(max_examples=50, deadline=None)
+@given(obs=_triples)
+def test_quantile_binning_conserves_counts(obs):
+    grid = fitting.bin_location_scale(obs, k=4)
+    assert grid.counts.sum() == len(obs)
+    assert grid.clamped == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(obs=_triples, alpha_edges=_edges, beta_edges=_edges)
+def test_clamping_edges_conserve_counts(obs, alpha_edges, beta_edges):
+    grid = fitting.bin_location_scale(obs, alpha_edges=alpha_edges, beta_edges=beta_edges)
+    assert grid.counts.sum() == len(obs)
+    outside_a = sum(not alpha_edges[0] <= a <= alpha_edges[-1] for a, _, _ in obs)
+    outside_b = sum(not beta_edges[0] <= b <= beta_edges[-1] for _, b, _ in obs)
+    assert grid.clamped == outside_a + outside_b
 
 
 class TestFormatting:
