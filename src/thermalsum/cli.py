@@ -9,6 +9,7 @@ stochastic targets); reruns with the same seed and flags are byte-identical.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -63,8 +64,11 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
 def _run_dir(out: Path, target: str, seed: int | None, force: bool) -> Path:
     name = target if seed is None else f"{target}-seed{seed}"
     run = out / name
-    if run.exists() and any(run.iterdir()) and not force:
-        raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
+    if run.exists() and any(run.iterdir()):
+        if not force:
+            raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
+        # a forced rerun replaces the directory: no earlier output stays beside it
+        shutil.rmtree(run)
     run.mkdir(parents=True, exist_ok=True)
     return run
 
@@ -94,7 +98,7 @@ def _finish_checks(all_checks: list[checks.Check], enabled: bool) -> None:
 # accepted for compatibility with older command lines; simulation is serial
 @click.option("--threads", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs"), show_default=True, help="Root directory for run outputs.")
-@click.option("--force", is_flag=True, help="Overwrite an existing run directory.")
+@click.option("--force", is_flag=True, help="Replace an existing run directory: its old contents are deleted first.")
 @click.option("--check", "check_mode", is_flag=True, help="Verify outputs against the reference tolerances; exit 1 on failure.")
 @click.option("--raw", "write_raw", is_flag=True, help="Also write raw hitting times (sim1).")
 @click.option("--data-dir", type=click.Path(path_type=Path), default=None, help=f"Directory with pre-downloaded data [default: ${DATA_DIR_ENV} or ./data].")

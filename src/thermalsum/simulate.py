@@ -6,6 +6,8 @@ tau (ties at Z_n == tau continue). Replicates are reproducible and
 order-independent: replicate i of cell c under master seed s always consumes
 the substream SeedSequence((s, c, i)), so any replicate can be regenerated on
 its own and a run's hitting times depend only on (seed, cell, replicate).
+Replicates are drawn in chunks, one block matrix per chunk with one substream
+per row; the chunk size is not part of the seed contract and changes no output.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ SIM2_BREAKPOINT_DAY = 90
 
 _START_BLOCK = 256
 _MAX_BLOCK = 4096
+# Replicates drawn together as one block matrix. Not part of the seed
+# contract: any chunk size gives the same hitting times. Larger chunks cost
+# peak memory (up to _CHUNK x _MAX_BLOCK doubles per matrix) for little speed.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,8 @@ def _draw_noise(spec: TemperatureProcessSpec, rng: np.random.Generator, n: int) 
     return spec.noise_sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
 
 
-def _path_blocks(
-    spec: TemperatureProcessSpec, rng: np.random.Generator, max_horizon: int
-) -> Iterator[np.ndarray]:
-    """Daily values of one path up to max_horizon, block by block.
+def _block_schedule(max_horizon: int) -> Iterator[tuple[int, int]]:
+    """(days before the block, block length) pairs covering days 1..max_horizon.
 
     Blocks start at _START_BLOCK days and double up to _MAX_BLOCK; this
     schedule fixes which draws of a substream land on which day.
@@ -125,13 +129,57 @@ def _path_blocks(
     day0, block = 0, _START_BLOCK
     while day0 < max_horizon:
         n = min(block, max_horizon - day0)
-        days = np.arange(day0 + 1, day0 + n + 1)
-        values = spec.mean_at(days) + _draw_noise(spec, rng, n)
-        if spec.clip_at_base:
-            values = np.maximum(values, 0.0)
-        yield values
+        yield day0, n
         day0 += n
         block = min(block * 2, _MAX_BLOCK)
+
+
+def _block_values(
+    spec: TemperatureProcessSpec, rngs: Sequence[np.random.Generator], day0: int, n: int
+) -> np.ndarray:
+    """Daily values of days day0+1..day0+n, row k drawn from rngs[k] alone."""
+    values = np.empty((len(rngs), n))
+    for k, rng in enumerate(rngs):
+        values[k] = _draw_noise(spec, rng, n)
+    values += spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
+    if spec.clip_at_base:
+        np.maximum(values, 0.0, out=values)
+    return values
+
+
+def _first_passage(
+    spec: TemperatureProcessSpec,
+    tau: float,
+    rngs: Sequence[np.random.Generator],
+    max_horizon: int,
+) -> np.ndarray:
+    """Hitting time of the path drawn from each generator, in generator order.
+
+    All rows walk the block schedule together; a row leaves the block matrix
+    once it has crossed. A row's cumsum along axis 1 is the same sequential
+    sum as a one-path cumsum, so each hitting time depends on its own
+    generator only, bit for bit.
+    """
+    if tau <= 0:
+        raise ParameterError(f"tau must be > 0, got {tau}")
+    out = np.empty(len(rngs), dtype=np.int64)
+    alive = np.arange(len(rngs))
+    carry = np.zeros((len(rngs), 1))
+    for day0, n in _block_schedule(max_horizon):
+        z = _block_values(spec, [rngs[k] for k in alive], day0, n)
+        np.cumsum(z, axis=1, out=z)
+        z += carry
+        crossed = z > tau
+        hit = crossed.any(axis=1)
+        out[alive[hit]] = day0 + np.argmax(crossed[hit], axis=1) + 1
+        alive, carry = alive[~hit], z[~hit, -1:]
+        if not len(alive):
+            return out
+    raise HorizonExceeded(
+        f"{len(alive)} of {len(rngs)} paths did not cross tau={tau} within "
+        f"{max_horizon} days (alpha={spec.alpha}, beta={spec.beta}, "
+        f"sigma={spec.noise_sigma}, clip_at_base={spec.clip_at_base})"
+    )
 
 
 def simulate_hitting_time(
@@ -146,22 +194,7 @@ def simulate_hitting_time(
     with Z_n > tau, so Z_{n-1} <= tau < Z_n. Raises HorizonExceeded if the
     path has not crossed by max_horizon (possible with clipping and low alpha).
     """
-    if tau <= 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    carry = 0.0
-    day0 = 0
-    for values in _path_blocks(spec, rng, max_horizon):
-        z = carry + np.cumsum(values)
-        crossed = z > tau
-        if crossed.any():
-            return day0 + int(np.argmax(crossed)) + 1
-        carry = float(z[-1])
-        day0 += len(values)
-    raise HorizonExceeded(
-        f"no crossing of tau={tau} within {max_horizon} days "
-        f"(alpha={spec.alpha}, beta={spec.beta}, sigma={spec.noise_sigma}, "
-        f"clip_at_base={spec.clip_at_base})"
-    )
+    return int(_first_passage(spec, tau, [rng], max_horizon)[0])
 
 
 def simulate_hitting_times(
@@ -175,13 +208,16 @@ def simulate_hitting_times(
     """Hitting times for `replicates` independent paths, in replicate order.
 
     Replicate i is simulate_hitting_time on substream(seed, cell, i), so
-    identical (seed, cell) always yields identical output.
+    identical (seed, cell) always yields identical output. Replicates are
+    drawn _CHUNK at a time; the chunk size does not change any output.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     out = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        out[i] = simulate_hitting_time(spec, tau, substream(seed, cell, i), max_horizon)
+    for start in range(0, replicates, _CHUNK):
+        stop = min(start + _CHUNK, replicates)
+        rngs = [substream(seed, cell, i) for i in range(start, stop)]
+        out[start:stop] = _first_passage(spec, tau, rngs, max_horizon)
     return out
 
 
@@ -197,18 +233,21 @@ def verify_stopping(
     """Re-derive a few replicates' paths and assert Z_{nu-1} <= tau < Z_nu.
 
     max_horizon must match the generating run: the replay consumes each
-    substream on the same block schedule.
+    substream on the same block schedule. The replay is independent of the
+    crossing search: one plain cumsum over the whole replayed path.
     """
     r = len(hitting_times)
     for idx in sample:
         i = idx % r
         nu = int(hitting_times[i])
+        rng = substream(seed, cell, i)
         # replay enough whole blocks to cover day nu
-        blocks = _path_blocks(spec, substream(seed, cell, i), max_horizon)
-        values = next(blocks)
-        while len(values) < nu:
-            values = np.concatenate([values, next(blocks)])
-        z = np.cumsum(values)
+        blocks = []
+        for day0, n in _block_schedule(max_horizon):
+            if day0 >= nu:
+                break
+            blocks.append(_block_values(spec, [rng], day0, n)[0])
+        z = np.cumsum(np.concatenate(blocks))
         if not z[nu - 1] > tau:
             raise AssertionError(f"replicate {i}: Z_nu={z[nu-1]} not > tau={tau}")
         if nu > 1 and not z[nu - 2] <= tau:

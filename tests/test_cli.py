@@ -89,6 +89,19 @@ class TestReproduceSim1:
         raw = (run / raws[0]).read_text(encoding="utf-8").splitlines()
         assert len(raw) == 50 and all(int(x) >= 1 for x in raw)
 
+    def test_force_replaces_stale_outputs(self, runner, tmp_path):
+        # a forced rerun without --raw must not leave the earlier run's raw files
+        # beside its own summary
+        base = ["reproduce", "sim1", "--seed", "7", "--out", str(tmp_path)]
+        assert runner.invoke(main, base + ["--r", "50", "--raw"]).exit_code == 0
+        result = runner.invoke(main, base + ["--r", "20", "--force"])
+        assert result.exit_code == 0, result.output
+        run = tmp_path / "sim1-seed7"
+        assert not list(run.glob("raw_*.txt"))
+        assert len(list(run.glob("hist_*.csv"))) == 8
+        summary = (run / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert all(line.split(",")[4] == "20" for line in summary[1:])
+
     def test_check_passes_at_reference_seed(self, runner, tmp_path):
         result = runner.invoke(
             main,

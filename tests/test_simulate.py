@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -108,6 +108,23 @@ def _two_point_exact(tau, alpha, sigma, nmax):
     return probs
 
 
+def _one_path_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORIZON):
+    # reference loop: one path, one 1-D cumsum per block, blocks of 256 days
+    # doubling to 4096, the first day with Z_n > tau
+    carry, day0, block = 0.0, 0, 256
+    while day0 < max_horizon:
+        n = min(block, max_horizon - day0)
+        days = np.arange(day0 + 1, day0 + n + 1)
+        values = spec.mean_at(days) + simulate._draw_noise(spec, rng, n)
+        if spec.clip_at_base:
+            values = np.maximum(values, 0.0)
+        z = carry + np.cumsum(values)
+        if (z > tau).any():
+            return day0 + int(np.argmax(z > tau)) + 1
+        carry, day0, block = float(z[-1]), day0 + n, min(2 * block, 4096)
+    raise HorizonExceeded(f"no crossing within {max_horizon} days")
+
+
 class TestBatchProperties:
     def test_determinism_same_seed(self):
         spec = linear(4, 0.1, 20)
@@ -128,6 +145,9 @@ class TestBatchProperties:
             # winter paths of ~1000 days cross up to the fourth block (day 1792+)
             (linear(2, 0, 20), 2000.0, 1, [1803, 1197, 1115, 1993, 533, 950]),
             (linear(1, 0, 30, clip_at_base=True), 500.0, 3, [37, 39, 46, 51, 54, 68]),
+            # two-point noise, crossing on both sides of day 256; recorded from
+            # the one-replicate-at-a-time loop, before replicates were chunked
+            (linear(1, 0, 3, noise_law="two_point"), 300.0, 2, [359, 245, 326, 260, 337, 293]),
         ],
     )
     def test_golden_hitting_times(self, spec, tau, cell, expected):
@@ -153,6 +173,48 @@ class TestBatchProperties:
         spec = seasonal(8, 0.4, 20)
         times = simulate.simulate_hitting_times(spec, 1000.0, 50, seed=13)
         simulate.verify_stopping(spec, 1000.0, 13, 0, times, sample=range(50))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        replicates=st.integers(1, 2 * simulate._CHUNK + 1),
+        seed=st.integers(0, 2**32 - 1),
+        cell=st.integers(0, 17),
+    )
+    def test_prefix_of_longer_run(self, replicates, seed, cell):
+        # a run's replicates do not depend on how many follow them, on either
+        # side of a chunk boundary
+        spec = seasonal(8, 0.4, 20)
+        longer = simulate.simulate_hitting_times(spec, 1000.0, 2 * simulate._CHUNK + 1, seed, cell)
+        times = simulate.simulate_hitting_times(spec, 1000.0, replicates, seed, cell)
+        assert np.array_equal(times, longer[:replicates])
+
+    def test_chunk_edges_read_their_own_substreams(self):
+        # winter paths crossing in the second to fourth block exercise the
+        # carry of rows that stay in the block matrix
+        spec = linear(2, 0, 20)
+        chunk = simulate._CHUNK
+        times = simulate.simulate_hitting_times(spec, 2000.0, chunk + 2, seed=4, cell=1)
+        for i in (chunk - 1, chunk, chunk + 1):
+            alone = simulate.simulate_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
+            assert times[i] == alone, f"replicate {i}"
+        loop = [_one_path_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
+                for i in range(chunk + 2)]
+        assert times.tolist() == loop
+
+    def test_partly_crossed_chunk_raises(self):
+        # within one chunk some paths cross by day 100 and others do not: the
+        # run must raise rather than return the uncrossed rows unfilled
+        spec, tau, horizon = linear(1, 0, 30), 100.0, 100
+        crossed = 0
+        for i in range(simulate._CHUNK):
+            try:
+                _one_path_hitting_time(spec, tau, simulate.substream(2, 0, i), horizon)
+                crossed += 1
+            except HorizonExceeded:
+                pass
+        assert 0 < crossed < simulate._CHUNK
+        with pytest.raises(HorizonExceeded):
+            simulate.simulate_hitting_times(spec, tau, simulate._CHUNK, seed=2, max_horizon=horizon)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ParameterError):
