@@ -64,12 +64,16 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
 def _run_dir(out: Path, target: str, seed: int | None, force: bool) -> Path:
     name = target if seed is None else f"{target}-seed{seed}"
     run = out / name
-    if run.exists() and any(run.iterdir()):
+    if run.is_dir() and any(run.iterdir()):
         if not force:
             raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
         # a forced rerun replaces the directory: no earlier output stays beside it
         shutil.rmtree(run)
-    run.mkdir(parents=True, exist_ok=True)
+    try:
+        run.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # e.g. a file already sits at the run directory's path
+        raise click.UsageError(f"cannot create run directory {run}: {exc.strerror}") from None
     return run
 
 
@@ -93,7 +97,7 @@ def _finish_checks(all_checks: list[checks.Check], enabled: bool) -> None:
 
 @main.command()
 @click.argument("target", type=click.Choice(["sim1", "sim2", "walnut", "lilac-bins"]))
-@click.option("--seed", type=int, default=None, help="Master seed (required for stochastic targets).")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (required for stochastic targets).")
 @click.option("--r", "replicates", type=int, default=simulate.DEFAULT_REPLICATES, show_default=True, help="Replicates per grid cell.")
 # accepted for compatibility with older command lines; simulation is serial
 @click.option("--threads", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)

@@ -8,6 +8,11 @@ the substream SeedSequence((s, c, i)), so any replicate can be regenerated on
 its own and a run's hitting times depend only on (seed, cell, replicate).
 Replicates are drawn in chunks, one block matrix per chunk with one substream
 per row; the chunk size is not part of the seed contract and changes no output.
+The chunk's generators are seeded in bulk: the PCG64 states that
+SeedSequence((s, c, i)) would give are computed for many replicates at once
+and loaded into reused generators, so the contract and every output byte are
+unchanged. verify_stopping replays through SeedSequence itself, so every run
+checks the bulk seeding against numpy's own.
 """
 
 from __future__ import annotations
@@ -41,6 +46,16 @@ _MAX_BLOCK = 4096
 # contract: any chunk size gives the same hitting times. Larger chunks cost
 # peak memory (up to _CHUNK x _MAX_BLOCK doubles per matrix) for little speed.
 _CHUNK = 64
+# Replicates whose generator states are hashed together: larger slabs save
+# numpy calls per replicate, smaller ones hold fewer words at once.
+_SLAB = 1024
+
+# SeedSequence's hash constants (NumPy's port of O'Neill's seed_seq, frozen by
+# NEP 19) and the PCG64 multiplier (O'Neill 2014).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -114,10 +129,64 @@ def substream(seed: int, cell: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, cell, replicate)))
 
 
-def _draw_noise(spec: TemperatureProcessSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    if spec.noise_law == "gaussian":
-        return spec.noise_sigma * rng.standard_normal(n)
-    return spec.noise_sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+def _words32(n: int) -> list[int]:
+    """n >= 0 as little-endian 32-bit words, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(h: int, mult: int) -> Iterator[int]:
+    while True:
+        yield h
+        h = h * mult & _MASK32
+
+
+def _hashmix(values: np.ndarray, h: int, mult: int) -> np.ndarray:
+    values = (values ^ np.uint32(h)) * np.uint32(h * mult & _MASK32)
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[dict]:
+    """bit_generator.state of substream(seed, cell, i) for i in range(start, stop).
+
+    Runs SeedSequence's entropy mixing and generate_state(4, uint64) on uint32
+    arrays, one element per replicate and _SLAB replicates at a time, then
+    PCG64's two-step seeding on the four words, so no SeedSequence is built
+    per replicate. Array arithmetic wraps mod 2**32 as the reference's uint32
+    does. States are yielded one by one, so few are held at once.
+    """
+    while start < stop:
+        # replicate indices with the same number of words share one layout
+        width = len(_words32(start))
+        end = min(stop, start + _SLAB, 1 << 32 * width)
+        m, idx = end - start, np.arange(start, end, dtype=np.uint64)
+        entropy = [np.full(m, w, dtype=np.uint32) for w in _words32(seed) + _words32(cell)]
+        entropy += [(idx >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
+        entropy += [np.zeros(m, dtype=np.uint32)] * (4 - len(entropy))
+        hs = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(word, next(hs), _MULT_A) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hs), _MULT_A))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, next(hs), _MULT_A))
+        hs = _hash_constants(_INIT_B, _MULT_B)
+        words = np.stack([_hashmix(pool[k % 4], next(hs), _MULT_B) for k in range(8)], axis=1)
+        for s0, s1, s2, s3 in zip(*words.astype("<u4").view("<u8").T.tolist()):
+            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+        start = end
 
 
 def _block_schedule(max_horizon: int) -> Iterator[tuple[int, int]]:
@@ -140,7 +209,11 @@ def _block_values(
     """Daily values of days day0+1..day0+n, row k drawn from rngs[k] alone."""
     values = np.empty((len(rngs), n))
     for k, rng in enumerate(rngs):
-        values[k] = _draw_noise(spec, rng, n)
+        if spec.noise_law == "gaussian":
+            rng.standard_normal(out=values[k])
+        else:
+            values[k] = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    values *= spec.noise_sigma
     values += spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
     if spec.clip_at_base:
         np.maximum(values, 0.0, out=values)
@@ -209,15 +282,23 @@ def simulate_hitting_times(
 
     Replicate i is simulate_hitting_time on substream(seed, cell, i), so
     identical (seed, cell) always yields identical output. Replicates are
-    drawn _CHUNK at a time; the chunk size does not change any output.
+    drawn _CHUNK at a time from reused generators loaded with the substream
+    states; the chunk size does not change any output.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
+    if seed < 0 or cell < 0:
+        raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
     out = np.empty(replicates, dtype=np.int64)
+    rngs = [np.random.default_rng() for _ in range(min(_CHUNK, replicates))]
+    states = _substream_states(seed, cell, 0, replicates)
     for start in range(0, replicates, _CHUNK):
         stop = min(start + _CHUNK, replicates)
-        rngs = [substream(seed, cell, i) for i in range(start, stop)]
-        out[start:stop] = _first_passage(spec, tau, rngs, max_horizon)
+        chunk = rngs[: stop - start]
+        # a loaded state also empties the 32-bit buffer the two-point draw reads
+        for rng, state in zip(chunk, states):
+            rng.bit_generator.state = state
+        out[start:stop] = _first_passage(spec, tau, chunk, max_horizon)
     return out
 
 

@@ -301,6 +301,26 @@ class TestUsageValidation:
         )
         assert result.exit_code == 2
 
+    def test_negative_seed_exits_2_without_run_dir(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["reproduce", "sim2", "--seed", "-1", "--r", "5", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_file_at_run_dir_exits_2(self, runner, tmp_path, force):
+        blocker = tmp_path / "sim2-seed3"
+        blocker.write_text("not a run\n", encoding="utf-8")
+        result = runner.invoke(
+            main, ["reproduce", "sim2", "--seed", "3", "--r", "20", "--out", str(tmp_path)] + force
+        )
+        assert result.exit_code == 2
+        assert "sim2-seed3" in result.output
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text(encoding="utf-8") == "not a run\n"
+
     def test_help_available_everywhere(self, runner):
         for args in (["--help"], ["approx", "--help"], ["reproduce", "--help"]):
             assert runner.invoke(main, args).exit_code == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -115,7 +115,11 @@ def _one_path_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORI
     while day0 < max_horizon:
         n = min(block, max_horizon - day0)
         days = np.arange(day0 + 1, day0 + n + 1)
-        values = spec.mean_at(days) + simulate._draw_noise(spec, rng, n)
+        if spec.noise_law == "gaussian":
+            noise = spec.noise_sigma * rng.standard_normal(n)
+        else:
+            noise = spec.noise_sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+        values = spec.mean_at(days) + noise
         if spec.clip_at_base:
             values = np.maximum(values, 0.0)
         z = carry + np.cumsum(values)
@@ -133,9 +137,10 @@ class TestBatchProperties:
         assert np.array_equal(a, b)
 
     def test_replicate_i_reads_substream_i(self):
+        # the last replicate is the first of a second slab of seeded states
         spec = seasonal(4, 0.4, 20)
-        times = simulate.simulate_hitting_times(spec, 1000.0, 400, seed=9, cell=3)
-        for i in (0, 200, 399):
+        times = simulate.simulate_hitting_times(spec, 1000.0, simulate._SLAB + 1, seed=9, cell=3)
+        for i in (0, 200, simulate._SLAB - 1, simulate._SLAB):
             alone = simulate.simulate_hitting_time(spec, 1000.0, simulate.substream(9, 3, i))
             assert times[i] == alone, f"replicate {i}"
 
@@ -190,15 +195,16 @@ class TestBatchProperties:
 
     def test_chunk_edges_read_their_own_substreams(self):
         # winter paths crossing in the second to fourth block exercise the
-        # carry of rows that stay in the block matrix
+        # carry of rows that stay in the block matrix, and each chunk reloads
+        # generators whose earlier rows crossed in later blocks
         spec = linear(2, 0, 20)
         chunk = simulate._CHUNK
-        times = simulate.simulate_hitting_times(spec, 2000.0, chunk + 2, seed=4, cell=1)
-        for i in (chunk - 1, chunk, chunk + 1):
+        times = simulate.simulate_hitting_times(spec, 2000.0, 2 * chunk + 1, seed=4, cell=1)
+        for i in (chunk - 1, chunk, chunk + 1, 2 * chunk):
             alone = simulate.simulate_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
             assert times[i] == alone, f"replicate {i}"
         loop = [_one_path_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
-                for i in range(chunk + 2)]
+                for i in range(2 * chunk + 1)]
         assert times.tolist() == loop
 
     def test_partly_crossed_chunk_raises(self):
@@ -219,6 +225,45 @@ class TestBatchProperties:
     def test_rejects_zero_replicates(self):
         with pytest.raises(ParameterError):
             simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, 0, seed=1)
+
+
+class TestBulkSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        cell=st.integers(0, 2**40 - 1),
+        i=st.integers(0, 2**33 - 1),
+    )
+    @example(seed=0, cell=0, i=0)
+    @example(seed=2**128 - 1, cell=2**40 - 1, i=2**33 - 1)
+    def test_states_equal_seed_sequence(self, seed, cell, i):
+        # multi-word entropy runs SeedSequence's mixing past its 4-word pool
+        got = list(simulate._substream_states(seed, cell, i, i + 1))
+        assert got == [simulate.substream(seed, cell, i).bit_generator.state]
+
+    def test_range_across_word_boundary(self):
+        # replicate indices from 2**32 on take two entropy words
+        start = 2**32 - 2
+        got = list(simulate._substream_states(7, 3, start, start + 4))
+        assert got == [simulate.substream(7, 3, i).bit_generator.state
+                       for i in range(start, start + 4)]
+
+    def test_two_point_rows_start_with_empty_buffer(self):
+        # a path past day 256 draws 256 + 257 values from 32-bit halves,
+        # leaving one buffered in its generator; the next chunk reuses that
+        # generator and must not read the stale half
+        spec, tau, horizon = linear(1, 0, 3, noise_law="two_point"), 250.0, 513
+        n = simulate._CHUNK + 2
+        times = simulate.simulate_hitting_times(spec, tau, n, seed=6, cell=2, max_horizon=horizon)
+        assert times[:2].min() > 256
+        loop = [_one_path_hitting_time(spec, tau, simulate.substream(6, 2, i), horizon)
+                for i in range(n)]
+        assert times.tolist() == loop
+
+    @pytest.mark.parametrize("seed, cell", [(-1, 0), (0, -1)])
+    def test_rejects_negative_seed_or_cell(self, seed, cell):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, 3, seed=seed, cell=cell)
 
 
 class TestKsDistance:
