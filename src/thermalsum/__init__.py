@@ -64,6 +64,7 @@ from .data_io import (
     AnalysisRow,
     PhenologyObservation,
     StationRecord,
+    StationTable,
     build_analysis_rows,
     haversine_km,
     match_station,

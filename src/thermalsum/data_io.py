@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -74,22 +77,99 @@ class AnalysisRow:
     bloom_doy: int
 
 
+@dataclass(frozen=True, slots=True)
+class StationTable:
+    """Station-day records as columns, one entry per record in file order.
+
+    station[k] indexes station_ids, the distinct ids in order of first
+    appearance; day[k] is the date's proleptic Gregorian ordinal
+    (datetime.date.toordinal). The float columns hold NaN for a blank
+    tmax/tmin reading.
+    """
+
+    station_ids: tuple[str, ...]
+    station: np.ndarray
+    day: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    tmax: np.ndarray
+    tmin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.station)
+
+    @classmethod
+    def from_records(cls, records: Iterable[StationRecord]) -> "StationTable":
+        """The table of a sequence of rows, in their order; None reads as NaN."""
+        records = list(records)
+        codes: dict[str, int] = {}
+        station = [codes.setdefault(r.station_id, len(codes)) for r in records]
+
+        def floats(values: Iterable[float | None]) -> np.ndarray:
+            return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+        return cls(
+            station_ids=tuple(codes),
+            station=np.array(station, dtype=np.intp),
+            day=np.array([r.date.toordinal() for r in records], dtype=np.int64),
+            latitude=floats(r.latitude for r in records),
+            longitude=floats(r.longitude for r in records),
+            tmax=floats(r.tmax for r in records),
+            tmin=floats(r.tmin for r in records),
+        )
+
+    def _take(self, index: np.ndarray) -> "StationTable":
+        """The rows at index, in that order, numbered over their own stations."""
+        codes, station = np.unique(self.station[index], return_inverse=True)
+        return StationTable(
+            station_ids=tuple(self.station_ids[c] for c in codes),
+            station=station.reshape(-1),
+            day=self.day[index],
+            latitude=self.latitude[index],
+            longitude=self.longitude[index],
+            tmax=self.tmax[index],
+            tmin=self.tmin[index],
+        )
+
+
 @dataclass
 class ParseResult:
-    records: list[StationRecord]
+    """The accepted rows of a temperature file and the count of rejected ones."""
+
+    records: StationTable
     rejected: int
+
+
+# Rows converted per pass, and the most distinct strings a column keeps
+# converted. Both bound peak memory; outputs do not depend on either.
+_PARSE_ROWS = 1024
+_MEMO_CELLS = 1 << 16
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_UNIX_EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
 def parse_temperature_csv(path: str | Path, units: str = "degrees") -> ParseResult:
     """Parse a station temperature CSV, counting (not failing on) bad rows.
 
-    Rows are rejected when the date or coordinates fail to parse, coordinates
-    are out of range, or tmin exceeds tmax. units="tenths" divides
-    temperatures by 10 (raw GHCND convention).
+    Rows are rejected when the station id is blank, the date is not a valid
+    YYYY-MM-DD, a coordinate or reading fails to parse or is not finite,
+    coordinates are out of range, or tmin exceeds tmax. Blank rows are
+    skipped. units="tenths" divides temperatures by 10 (raw GHCND convention).
     """
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
-    scale = 0.1 if units == "tenths" else 1.0
+    reading = _Cells(functools.partial(_reading, scale=0.1 if units == "tenths" else 1.0), float)
+    cells = (
+        _Cells(_station_id, None),
+        _Cells(_ordinal, np.int64),
+        _Cells(functools.partial(_coordinate, limit=90.0), float),
+        _Cells(functools.partial(_coordinate, limit=180.0), float),
+        reading,  # tmax
+        reading,  # tmin
+    )
+    codes: dict[str, int] = {}
+    chunks: list[tuple[np.ndarray, ...]] = []
+    rejected = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -100,32 +180,92 @@ def parse_temperature_csv(path: str | Path, units: str = "degrees") -> ParseResu
             raise MissingHeader(
                 f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
             )
-        records: list[StationRecord] = []
-        rejected = 0
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                records.append(_parse_temperature_row(row, scale))
-            except (ValueError, IndexError):
-                rejected += 1
-    return ParseResult(records=records, rejected=rejected)
+        while rows := list(itertools.islice(reader, _PARSE_ROWS)):
+            columns, n_rejected = _parse_rows(rows, cells, codes)
+            chunks.append(columns)
+            rejected += n_rejected
+    if not chunks:
+        return ParseResult(records=StationTable.from_records(()), rejected=0)
+    table = StationTable(tuple(codes), *map(np.concatenate, zip(*chunks)))
+    return ParseResult(records=table, rejected=rejected)
 
 
-def _parse_temperature_row(row: Sequence[str], scale: float) -> StationRecord:
-    station_id = row[0].strip()
-    if not station_id:
-        raise ValueError("blank station_id")
-    date = datetime.date.fromisoformat(row[1].strip())
-    lat = float(row[2])
-    lon = float(row[3])
-    if abs(lat) > 90 or abs(lon) > 180:
-        raise ValueError("coordinates out of range")
-    tmax = float(row[4]) * scale if row[4].strip() else None
-    tmin = float(row[5]) * scale if row[5].strip() else None
-    if tmax is not None and tmin is not None and tmax < tmin:
-        raise ValueError("tmax < tmin")
-    return StationRecord(station_id, date, lat, lon, tmax, tmin)
+class _Cells:
+    """One column's converter: each distinct cell string is converted once."""
+
+    def __init__(self, convert, dtype) -> None:
+        self.convert, self.dtype, self.memo = convert, dtype, {}
+
+    def __call__(self, column: Sequence[str | None]):
+        """The converted column: an array of dtype, or a list if dtype is None."""
+        memo = self.memo
+        if len(memo) > _MEMO_CELLS:
+            memo.clear()
+        for cell in set(column).difference(memo):
+            memo[cell] = self.convert(cell)
+        values = map(memo.__getitem__, column)
+        return list(values) if self.dtype is None else np.fromiter(values, self.dtype, len(column))
+
+
+def _parse_rows(
+    rows: list[list[str]], cells: tuple[_Cells, ...], codes: dict[str, int]
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """Columns of the accepted rows, in order, and the count of rejected ones.
+
+    A cell that fails marks its row: "" for a station id, -1 for a date,
+    NaN for a coordinate, inf for a reading (NaN there is a blank). Station
+    ids of accepted rows join codes in file order.
+    """
+    n = len(rows)
+    columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
+    columns += [(None,) * n] * (6 - len(columns))  # every row is short
+    ids, day, lat, lon, tmax, tmin = (conv(col) for conv, col in zip(cells, columns))
+    has_id = np.fromiter(map(bool, ids), dtype=bool, count=n)
+    ok = has_id & (day > 0) & ~np.isnan(lat) & ~np.isnan(lon)
+    ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
+    n_blank = sum(all(not c.strip() for c in rows[k]) for k in np.flatnonzero(~has_id))
+    accepted = list(itertools.compress(ids, ok.tolist()))
+    for s in dict.fromkeys(accepted):
+        codes.setdefault(s, len(codes))
+    station = np.fromiter(map(codes.__getitem__, accepted), dtype=np.intp, count=len(accepted))
+    return (station, day[ok], lat[ok], lon[ok], tmax[ok], tmin[ok]), n - len(accepted) - n_blank
+
+
+def _station_id(cell: str | None) -> str:
+    return "" if cell is None else cell.strip()
+
+
+def _ordinal(cell: str | None) -> int:
+    """The date's ordinal, or -1 unless the cell is a valid YYYY-MM-DD."""
+    text = "" if cell is None else cell.strip()
+    if not _ISO_DATE.fullmatch(text):
+        return -1
+    try:
+        return datetime.date.fromisoformat(text).toordinal()
+    except ValueError:
+        return -1
+
+
+def _coordinate(cell: str | None, limit: float) -> float:
+    """The value, or NaN unless it parses and |value| <= limit (so finite)."""
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+    return value if abs(value) <= limit else math.nan
+
+
+def _reading(cell: str | None, scale: float) -> float:
+    """The scaled reading, NaN for a blank cell, inf unless finite."""
+    if cell is None:
+        return math.inf
+    if not cell.strip():
+        return math.nan
+    try:
+        value = float(cell) * scale
+    except ValueError:
+        return math.inf
+    return value if math.isfinite(value) else math.inf
 
 
 def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
@@ -160,6 +300,11 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
                 )
             except (ValueError, IndexError) as exc:
                 raise ParameterError(f"{where}: malformed row ({exc})") from None
+            if not (abs(obs.latitude) <= 90 and abs(obs.longitude) <= 180):
+                raise ParameterError(
+                    f"{where}: site coordinates ({obs.latitude}, {obs.longitude}) must be "
+                    "finite with |lat| <= 90 and |lon| <= 180"
+                )
             if not 1 <= obs.bloom_doy <= 366:
                 raise ParameterError(f"{where}: bloom_doy {obs.bloom_doy} outside [1, 366]")
             out.append(obs)
@@ -181,18 +326,29 @@ def filter_phenology(
 
 
 def midrange_series(
-    records: Iterable[StationRecord], station_id: str, year: int
+    table: StationTable, station_id: str, year: int
 ) -> regimes.DailyTemperatureSeries:
-    """Daily (tmax+tmin)/2 series for one station-year; missing if either is."""
-    n = regimes.days_in_year(year)
-    values = np.full(n, np.nan)
-    for r in records:
-        if r.station_id != station_id or r.date.year != year:
-            continue
-        if r.tmax is None or r.tmin is None:
-            continue
-        values[r.date.timetuple().tm_yday - 1] = 0.5 * (r.tmax + r.tmin)
+    """Daily (tmax+tmin)/2 series for one station-year; missing if either is.
+
+    A station-day read more than once keeps its last complete reading.
+    """
+    values = np.full(regimes.days_in_year(year), np.nan)
+    if station_id in table.station_ids:
+        years, yday = _year_and_yday(table.day)
+        complete = ~np.isnan(table.tmax) & ~np.isnan(table.tmin)
+        mine = (table.station == table.station_ids.index(station_id)) & (years == year)
+        latest_first = np.flatnonzero(mine & complete)[::-1]
+        days, first = np.unique(yday[latest_first], return_index=True)
+        last = latest_first[first]
+        values[days] = 0.5 * (table.tmax[last] + table.tmin[last])
     return regimes.DailyTemperatureSeries(site_id=station_id, year=year, values=values)
+
+
+def _year_and_yday(day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calendar year and 0-based day of year of each date ordinal."""
+    dates = (day - _UNIX_EPOCH).astype("datetime64[D]")
+    years = dates.astype("datetime64[Y]")
+    return years.astype(np.int64) + 1970, (dates - years).astype(np.int64)
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -202,14 +358,6 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
-
-
-def station_coordinates(records: Iterable[StationRecord]) -> dict[str, tuple[float, float]]:
-    """First-seen (lat, lon) per station id."""
-    coords: dict[str, tuple[float, float]] = {}
-    for r in records:
-        coords.setdefault(r.station_id, (r.latitude, r.longitude))
-    return coords
 
 
 def match_station(
@@ -237,23 +385,33 @@ class JoinDiagnostics:
 
 def build_analysis_rows(
     observations: Iterable[PhenologyObservation],
-    records: Iterable[StationRecord],
+    table: StationTable,
     max_km: float = MATCH_CUTOFF_KM,
 ) -> tuple[list[AnalysisRow], JoinDiagnostics]:
     """Join observations to matched station-years with passing regime estimates.
 
     An observation yields a row only when a station qualifies within max_km
     and both estimation windows pass their completeness gates; everything
-    else is counted in the diagnostics. The archive is walked once: each
-    station-year's records, in file order, are exactly those
-    midrange_series would pick out of the whole archive, so a repeated
-    station-day keeps its last complete reading.
+    else is counted in the diagnostics. The table is sorted once by
+    (station, year), stably, so each midrange_series call gets exactly its
+    station-year's rows in file order. A station's coordinates are those
+    of its first row.
     """
-    groups: dict[tuple[str, int], list[StationRecord]] = {}
-    for r in records:
-        groups.setdefault((r.station_id, r.date.year), []).append(r)
-    # a station's first group starts with its first record
-    coords = station_coordinates(group[0] for group in groups.values())
+    years, _ = _year_and_yday(table.day)
+    station_year = table.station * (years.max(initial=0) + 1) + years
+    order = np.argsort(station_year, kind="stable")
+    station_year = station_year[order]
+    bounds = np.r_[np.flatnonzero(np.diff(station_year, prepend=-1)), len(order)]
+    groups = {
+        (table.station_ids[table.station[order[a]]], int(years[order[a]])): order[a:b]
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    }
+    codes, first = np.unique(table.station, return_index=True)
+    coords = {
+        table.station_ids[c]: (float(table.latitude[k]), float(table.longitude[k]))
+        for c, k in zip(codes.tolist(), first.tolist())
+    }
+    no_rows = np.empty(0, dtype=np.intp)
     diag = JoinDiagnostics()
     rows: list[AnalysisRow] = []
     # the match depends only on the site's coordinates
@@ -271,7 +429,8 @@ def build_analysis_rows(
             continue
         key = (sid, obs.year)
         if key not in estimates:
-            series = regimes.clip_base(midrange_series(groups.get(key, ()), sid, obs.year))
+            group = table._take(groups.get(key, no_rows))
+            series = regimes.clip_base(midrange_series(group, sid, obs.year))
             try:
                 estimates[key] = regimes.estimate_regime(series)
             except (InsufficientData, DegenerateDesign):

@@ -1,9 +1,13 @@
-"""Write station records in the temperature CSV format the parser reads."""
+"""Station records for tests: the CSV writer, the table-to-rows reader, and a
+per-row temperature parser that the columnar one is checked against."""
 
+import csv
+import datetime
+import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from thermalsum.data_io import TEMPERATURE_HEADER, StationRecord
+from thermalsum.data_io import TEMPERATURE_HEADER, StationRecord, StationTable
 
 
 def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) -> None:
@@ -17,3 +21,62 @@ def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) ->
                 f"{r.station_id},{r.date.isoformat()},{r.latitude:.6g},"
                 f"{r.longitude:.6g},{tmax},{tmin}\n"
             )
+
+
+def to_records(table: StationTable) -> list[StationRecord]:
+    """The table's rows, in order; a NaN reading reads as None."""
+
+    def reading(v: float) -> float | None:
+        return None if math.isnan(v) else v
+
+    return [
+        StationRecord(
+            table.station_ids[code], datetime.date.fromordinal(day), lat, lon,
+            reading(tmax), reading(tmin),
+        )
+        for code, day, lat, lon, tmax, tmin in zip(
+            table.station.tolist(), table.day.tolist(), table.latitude.tolist(),
+            table.longitude.tolist(), table.tmax.tolist(), table.tmin.tolist(),
+        )
+    ]
+
+
+def parse_temperature_rows(path: str | Path, units: str = "degrees") -> tuple[list[StationRecord], int]:
+    """(accepted records, rejected count), one row at a time; header not checked."""
+    scale = 0.1 if units == "tenths" else 1.0
+    records, rejected = [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                records.append(_parse_temperature_row(row, scale))
+            except (ValueError, IndexError):
+                rejected += 1
+    return records, rejected
+
+
+def _parse_temperature_row(row: Sequence[str], scale: float) -> StationRecord:
+    station_id = row[0].strip()
+    if not station_id:
+        raise ValueError("blank station_id")
+    text = row[1].strip()
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) != 10 or text[4] != "-" or text[7] != "-" or not all(c in "0123456789" for c in digits):
+        raise ValueError("date is not YYYY-MM-DD")
+    date = datetime.date.fromisoformat(text)
+    lat = float(row[2])
+    lon = float(row[3])
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError("non-finite coordinates")
+    if abs(lat) > 90 or abs(lon) > 180:
+        raise ValueError("coordinates out of range")
+    tmax = float(row[4]) * scale if row[4].strip() else None
+    tmin = float(row[5]) * scale if row[5].strip() else None
+    if any(t is not None and not math.isfinite(t) for t in (tmax, tmin)):
+        raise ValueError("non-finite reading")
+    if tmax is not None and tmin is not None and tmax < tmin:
+        raise ValueError("tmax < tmin")
+    return StationRecord(station_id, date, lat, lon, tmax, tmin)

@@ -245,8 +245,12 @@ class TestReproduceLilacBins:
             ("lilac_phenology.csv", ",120,", ",131.5,"),
             ("lilac_phenology.csv", "site_id,", "site,"),
             ("daily_temperatures.csv", "station_id,", "station,"),
+            ("lilac_phenology.csv", "L0,40.0,", "L0,95.0,"),
+            ("lilac_phenology.csv", "L0,40.0,", "L0,nan,"),
+            ("lilac_phenology.csv", "-75.0,2020,120,", "inf,2020,120,"),
         ],
-        ids=["non_integer_doy", "phenology_header", "temperature_header"],
+        ids=["non_integer_doy", "phenology_header", "temperature_header",
+             "site_lat_out_of_range", "site_lat_nan", "site_lon_inf"],
     )
     def test_malformed_input_exits_2_without_run_dir(self, runner, tmp_path, filename, old, new):
         _write_lilac_fixture(tmp_path / "data")

@@ -1,17 +1,20 @@
 import dataclasses
 import datetime
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from station_csv import write_temperature_csv
+from station_csv import parse_temperature_rows, to_records, write_temperature_csv
 from thermalsum import data_io, regimes
 from thermalsum.errors import EmptyFile, MissingHeader, ParameterError
 
 HEADER = "station_id,date,lat,lon,tmax,tmin"
+from_records = data_io.StationTable.from_records
 
 
 def write(tmp_path, name, text):
@@ -33,7 +36,7 @@ class TestParseTemperatureCsv:
         result = data_io.parse_temperature_csv(path)
         assert len(result.records) == 3
         assert result.rejected == 0
-        first = result.records[0]
+        first = to_records(result.records)[0]
         assert first.station_id == "GHCND:US1"
         assert first.date == datetime.date(2021, 1, 1)
         assert (first.tmax, first.tmin) == (5.0, -3.0)
@@ -67,15 +70,45 @@ class TestParseTemperatureCsv:
 
     def test_missing_values_allowed(self, tmp_path):
         path = write(tmp_path, "t.csv", f"{HEADER}\nS1,2021-01-01,40.0,-75.0,,-2.0\n")
-        rec = data_io.parse_temperature_csv(path).records[0]
+        rec = to_records(data_io.parse_temperature_csv(path).records)[0]
         assert rec.tmax is None
         assert rec.tmin == -2.0
 
     def test_tenths_units(self, tmp_path):
         path = write(tmp_path, "t.csv", f"{HEADER}\nS1,2021-01-01,40.0,-75.0,55,-31\n")
-        rec = data_io.parse_temperature_csv(path, units="tenths").records[0]
+        rec = to_records(data_io.parse_temperature_csv(path, units="tenths").records)[0]
         assert rec.tmax == pytest.approx(5.5)
         assert rec.tmin == pytest.approx(-3.1)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "t.csv",
+            f"{HEADER}\n"
+            "S1,2021-01-01,nan,-75,1,0\n"
+            "S2,2021-01-01,40,-inf,1,0\n"
+            "S2,2021-01-01,40,-75,inf,0\n"
+            "S2,2021-01-01,40,-75,1,NaN\n"
+            "S2,2021-01-01,40,-75,1e400,0\n"
+            "S2,2021-01-02,40,-75,1,0\n",
+        )
+        result = data_io.parse_temperature_csv(path)
+        assert len(result.records) == 1
+        assert result.rejected == 5
+
+    def test_dates_must_be_yyyy_mm_dd(self, tmp_path):
+        path = write(
+            tmp_path,
+            "t.csv",
+            f"{HEADER}\n"
+            "S1,20210102,40,-75,1,0\n"
+            "S1,2021-W01-1,40,-75,1,0\n"
+            "S1,2021-1-02,40,-75,1,0\n"
+            "S1, 2021-01-03 ,40,-75,1,0\n",
+        )
+        result = data_io.parse_temperature_csv(path)
+        assert result.rejected == 3
+        assert [r.date for r in to_records(result.records)] == [datetime.date(2021, 1, 3)]
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "t.csv", "a,b,c\n1,2,3\n")
@@ -87,6 +120,12 @@ class TestParseTemperatureCsv:
         with pytest.raises(EmptyFile):
             data_io.parse_temperature_csv(path)
 
+    def test_header_only_gives_empty_table(self, tmp_path):
+        result = data_io.parse_temperature_csv(write(tmp_path, "t.csv", f"{HEADER}\n"))
+        assert (len(result.records), result.rejected) == (0, 0)
+        rows, diag = data_io.build_analysis_rows([site(40.0, -75.0)], result.records)
+        assert rows == [] and diag.n_no_station == 1
+
     def test_round_trip_identity(self, tmp_path):
         records = [
             data_io.StationRecord("S1", datetime.date(2021, 1, 1), 40.25, -75.5, 5.125, -3.0),
@@ -96,7 +135,7 @@ class TestParseTemperatureCsv:
         write_temperature_csv(records, path)
         back = data_io.parse_temperature_csv(path)
         assert back.rejected == 0
-        assert back.records == records
+        assert to_records(back.records) == records
 
 
 # values the writer's .6g format keeps exactly: tenths of a degree, blanks,
@@ -126,16 +165,72 @@ def test_temperature_csv_round_trip(tmp_path_factory, records):
     write_temperature_csv(records, path)
     back = data_io.parse_temperature_csv(path)
     assert back.rejected == 0
-    assert back.records == records
+    assert to_records(back.records) == records
+
+
+# Cells the parser must accept, then cells it must reject, per column; none
+# holds a comma or quote. Rows repeat, so station-days repeat and every kind
+# of row falls in every chunk of a file longer than data_io._PARSE_ROWS.
+_GOOD_CELLS = [
+    ["S1", "S2", " S1 ", "USC0001"],
+    ["2021-01-01", "2021-01-02", " 2020-02-29", "1900-03-01", "2100-12-31 "],
+    ["40.0", " -12.5 ", "90", "-90.0", "1_0"],
+    ["-75.0", "180", "-180.0", " 130.25"],
+    ["5.0", "55", "-31", "", "  ", "0.1", "-0", "1e308"],
+    ["-3.0", "1.0", "55", "", " ", "0.3", "-1e308"],
+]
+_BAD_CELLS = [
+    ["", "  "],
+    ["2021-02-29", "2021-13-01", "20210102", "2021-W01-1", "2021-1-02", "not-a-date", ""],
+    ["95.0", "nan", "-inf", "abc", "", "1e400"],
+    ["-190", "inf", "NaN", ""],
+    ["n/a", "nan", "inf", "1e400"],
+    ["abc", "-inf", "NaN"],
+]
+
+
+@st.composite
+def temperature_rows(draw):
+    """A row with at most two bad cells, sometimes cut short or made long, or a blank row."""
+    shape = draw(st.sampled_from(["row", "row", "row", "short", "long", "blank"]))
+    if shape == "blank":
+        return draw(st.sampled_from([[], ["", ""], [" "] * 6, [""] * 7]))
+    row = [draw(st.sampled_from(cells)) for cells in _GOOD_CELLS]
+    for k in draw(st.sets(st.integers(0, 5), max_size=2)):
+        row[k] = draw(st.sampled_from(_BAD_CELLS[k]))
+    if shape == "short":
+        return row[: draw(st.integers(1, 5))]
+    return row + ["extra"] if shape == "long" else row
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(temperature_rows(), min_size=1, max_size=40),
+    chunks=st.integers(0, 2),
+    extra=st.integers(-40, 40),
+    units=st.sampled_from(["degrees", "tenths"]),
+    memo_cells=st.sampled_from([2, data_io._MEMO_CELLS]),
+)
+def test_columnar_parse_equals_row_oracle(tmp_path_factory, rows, chunks, extra, units, memo_cells):
+    n = max(1, chunks * data_io._PARSE_ROWS + extra)
+    path = tmp_path_factory.mktemp("differential") / "t.csv"
+    lines = [HEADER] + [",".join(rows[k % len(rows)]) for k in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
+        parsed = data_io.parse_temperature_csv(path, units=units)
+    records, rejected = parse_temperature_rows(path, units=units)
+    assert to_records(parsed.records) == records
+    assert parsed.rejected == rejected
+    assert len(parsed.records) == len(records)
 
 
 class TestMidrangeSeries:
     def records(self):
-        return [
+        return from_records([
             data_io.StationRecord("S1", datetime.date(2021, 1, 1), 40, -75, 10.0, 0.0),
             data_io.StationRecord("S1", datetime.date(2021, 1, 2), 40, -75, None, 0.0),
             data_io.StationRecord("S2", datetime.date(2021, 1, 1), 41, -74, 8.0, 2.0),
-        ]
+        ])
 
     def test_midrange_value(self):
         series = data_io.midrange_series(self.records(), "S1", 2021)
@@ -152,9 +247,45 @@ class TestMidrangeSeries:
 
     def test_leap_day_lands_on_day_60(self):
         recs = [data_io.StationRecord("S1", datetime.date(2020, 2, 29), 40, -75, 4.0, 2.0)]
-        series = data_io.midrange_series(recs, "S1", 2020)
+        series = data_io.midrange_series(from_records(recs), "S1", 2020)
         assert series.values[59] == pytest.approx(3.0)
         assert len(series.values) == 366
+
+    def test_last_complete_reading_wins(self):
+        day = datetime.date(2021, 1, 1)
+        recs = [
+            data_io.StationRecord("S1", day, 40, -75, 10.0, 0.0),
+            data_io.StationRecord("S1", day, 40, -75, 12.0, 2.0),
+            data_io.StationRecord("S2", day, 40, -75, 20.0, 2.0),
+            data_io.StationRecord("S1", day, 40, -75, None, 4.0),
+        ] * 3
+        series = data_io.midrange_series(from_records(recs), "S1", 2021)
+        assert series.values[0] == 7.0
+        assert np.isnan(series.values[1:]).all()
+
+    def test_unknown_station_is_all_missing(self):
+        series = data_io.midrange_series(self.records(), "S9", 2021)
+        assert np.isnan(series.values).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(year=st.integers(1900, 2100))
+def test_windows_cover_their_calendar_months(year):
+    days = [datetime.date(year, 1, 1) + datetime.timedelta(k) for k in range(regimes.days_in_year(year))]
+    stamp = [100.0 * d.month + d.day for d in days]  # midrange = month * 100 + day
+    table = from_records(
+        data_io.StationRecord("S1", d, 40, -75, v, v) for d, v in zip(days, stamp)
+    )
+    values = data_io.midrange_series(table, "S1", year).values
+    alpha_window = regimes.alpha_window(year)
+    alpha = values[alpha_window.start : alpha_window.stop]
+    feb_end = datetime.date(year, 3, 1) - datetime.timedelta(1)
+    assert alpha[0] == 101.0 and alpha[-1] == 200.0 + feb_end.day
+    assert len(alpha) == 31 + feb_end.day
+    beta_window = regimes.beta_window(year)
+    assert beta_window.start == datetime.date(year, 3, 1).timetuple().tm_yday - 1
+    beta = values[beta_window.start : beta_window.stop]
+    assert beta[0] == 301.0 and beta[-1] == 430.0 and len(beta) == 61
 
 
 class TestHaversine:
@@ -222,7 +353,7 @@ class TestBuildAnalysisRows:
     def test_join_produces_expected_row(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
         obs = [site(40.001, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records))
         assert diag.n_rows == len(rows) == 1
         row = rows[0]
         assert row.site_id == "L1" and row.year == 2021 and row.bloom_doy == 130
@@ -232,14 +363,14 @@ class TestBuildAnalysisRows:
     def test_unmatched_site_counted(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
         obs = [site(45.0, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records))
         assert rows == []
         assert diag.n_no_station == 1
 
     def test_incomplete_station_year_counted(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)[:30]  # January only
         obs = [site(40.0, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records))
         assert rows == []
         assert diag.n_insufficient == 1
 
@@ -250,7 +381,7 @@ class TestBuildAnalysisRows:
         records = synthetic_year_records("ST1", 40.0, -75.0)
         gappy = synthetic_year_records("ST2", 45.0, -75.0)[:30]  # January only
         obs = [site(40.0, -75.0), site(40.001, -75.0), site(45.0, -75.0), site(45.001, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records + gappy)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records + gappy))
         assert len(calls) == 2
         assert diag.n_observations == 4 and diag.n_rows == len(rows) == 2
         assert diag.n_insufficient == 2
@@ -259,7 +390,7 @@ class TestBuildAnalysisRows:
     def test_row_count_bounded_by_observations(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
         obs = [site(40.0, -75.0), site(45.0, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records))
         assert len(rows) <= diag.n_observations == 2
 
     def test_one_match_per_site(self, monkeypatch):
@@ -270,7 +401,7 @@ class TestBuildAnalysisRows:
         )
         records = synthetic_year_records("ST1", 40.0, -75.0)
         obs = [site(40.0, -75.0), site(45.0, -75.0), site(40.0, -75.0), site(45.0, -75.0)]
-        rows, diag = data_io.build_analysis_rows(obs, records)
+        rows, diag = data_io.build_analysis_rows(obs, from_records(records))
         assert len(calls) == 2
         assert diag.n_rows == len(rows) == 2 and diag.n_no_station == 2
 
@@ -283,7 +414,7 @@ class TestStationYearIndex:
     """What grouping the archive by station-year must keep from the full scan."""
 
     def join(self, records, obs=(site(40.0, -75.0),)):
-        return data_io.build_analysis_rows(obs, records)
+        return data_io.build_analysis_rows(obs, from_records(records))
 
     def test_later_complete_record_replaces_earlier(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
@@ -291,6 +422,24 @@ class TestStationYearIndex:
         later = dataclasses.replace(day, tmax=day.tmax + 4.0, tmin=day.tmin + 4.0)
         replaced = records[:9] + [later] + records[10:]
         assert self.join(records + [later]) == self.join(replaced) != self.join(records)
+
+    def test_file_order_holds_inside_interleaved_station_years(self):
+        years = [
+            synthetic_year_records(f"ST{i}", lat, -75.0, year=year)
+            for i, lat in enumerate((40.0, 42.0))
+            for year in (2020, 2021)
+        ]
+        warmer = [
+            [dataclasses.replace(r, tmax=r.tmax + 4.0, tmin=r.tmin + 4.0) for r in rows]
+            for rows in years
+        ]
+
+        def interleave(groups):
+            return [r for rows in itertools.zip_longest(*groups) for r in rows if r is not None]
+
+        obs = sites_each_year((40.0, 42.0))
+        later_wins = self.join(interleave(years) + interleave(warmer), obs)
+        assert later_wins == self.join(interleave(warmer), obs) != self.join(interleave(years), obs)
 
     def test_later_blank_reading_keeps_earlier_complete_one(self):
         records = synthetic_year_records("ST1", 40.0, -75.0)
@@ -309,10 +458,9 @@ class TestStationYearIndex:
         sizes = []
         real = data_io.midrange_series
 
-        def counting(records, station_id, year):
-            records = list(records)
-            sizes.append(len(records))
-            return real(records, station_id, year)
+        def counting(table, station_id, year):
+            sizes.append(len(table))
+            return real(table, station_id, year)
 
         monkeypatch.setattr(data_io, "midrange_series", counting)
         lats = (40.0, 42.0, 44.0)
@@ -348,7 +496,9 @@ def test_join_ignores_record_order(data):
     records = data.draw(archives())
     shuffled = data.draw(st.permutations(records))
     obs = sites_each_year((40.0, 42.0, 44.0))  # 44 N has no station
-    assert data_io.build_analysis_rows(obs, shuffled) == data_io.build_analysis_rows(obs, records)
+    assert data_io.build_analysis_rows(obs, from_records(shuffled)) == data_io.build_analysis_rows(
+        obs, from_records(records)
+    )
 
 
 class TestWriters:
