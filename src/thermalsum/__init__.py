@@ -12,7 +12,6 @@ from .errors import (
     EmptyFile,
     HorizonExceeded,
     InsufficientData,
-    MissingData,
     MissingHeader,
     NonPositiveEstimate,
     ParameterError,

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
-from . import reference
+from . import model, reference
 from .fitting import BinnedGrid, WinterFit
 from .simulate import SIM2_ALPHAS, SIM2_BETAS, SimulationGrid, SimulationResult
 
@@ -92,9 +91,10 @@ def _normal_ig_gap(alpha: float, sigma: float, tau: float) -> float:
     sigma^2 per day (Chhikara & Folks 1989); the gap depends only on its shape
     alpha*tau/sigma^2 and falls as that grows. The sup of |Phi - F_IG| sits
     where the two densities cross: crossings are bracketed on a grid and
-    refined by bisection. The IG law is written out with scipy.special, which
-    the package already loads, instead of scipy.stats, whose import alone
-    costs more than the whole computation.
+    refined by bisection. The IG CDF is written out from the standard normal
+    law: Phi(r(x/mu - 1)) + exp(2 lambda/mu) Phi(-r(x/mu + 1)), r = sqrt(lambda/x),
+    with the second term taken in logs, since at large shapes exp(2 lambda/mu)
+    overflows while the normal tail underflows.
     """
     mu = tau / alpha
     lam = tau**2 / sigma**2
@@ -107,8 +107,10 @@ def _normal_ig_gap(alpha: float, sigma: float, tau: float) -> float:
 
     def cdf_gap(x: np.ndarray) -> np.ndarray:
         r = np.sqrt(lam / x)
-        ig = ndtr(r * (x / mu - 1.0)) + np.exp(2.0 * lam / mu + log_ndtr(-r * (x / mu + 1.0)))
-        return ndtr((x - mu) / sd) - ig
+        ig = model.normal_cdf(r * (x / mu - 1.0)) + np.exp(
+            2.0 * lam / mu + model.normal_logsf(r * (x / mu + 1.0))
+        )
+        return model.normal_cdf((x - mu) / sd) - ig
 
     xs = np.linspace(mu * 1e-6, mu + 60.0 * sd, 4001)
     dens = density_gap(xs)

@@ -305,8 +305,13 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
                     f"{where}: site coordinates ({obs.latitude}, {obs.longitude}) must be "
                     "finite with |lat| <= 90 and |lon| <= 180"
                 )
-            if not 1 <= obs.bloom_doy <= 366:
-                raise ParameterError(f"{where}: bloom_doy {obs.bloom_doy} outside [1, 366]")
+            if not obs.site_id:
+                raise ParameterError(f"{where}: blank site_id")
+            last_day = regimes.days_in_year(obs.year)
+            if not 1 <= obs.bloom_doy <= last_day:
+                raise ParameterError(
+                    f"{where}: bloom_doy {obs.bloom_doy} outside [1, {last_day}] for {obs.year}"
+                )
             out.append(obs)
     return out
 

@@ -39,7 +39,3 @@ class SingularFit(ThermalSumError):
 
 class NonPositiveEstimate(ThermalSumError):
     """A fitted quantity that must be positive came out non-positive."""
-
-
-class MissingData(ThermalSumError):
-    """A required pre-downloaded data file is not available."""

@@ -22,7 +22,6 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import model
 from .errors import HorizonExceeded, ParameterError
@@ -345,7 +344,7 @@ def ks_distance(samples: Iterable[float], cdf: Callable[[np.ndarray], np.ndarray
     n = len(x)
     if n == 0:
         raise ParameterError("ks_distance requires a non-empty sample")
-    ref = ndtr(x) if cdf is None else np.asarray(cdf(x), dtype=float)
+    ref = model.normal_cdf(x) if cdf is None else np.asarray(cdf(x), dtype=float)
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

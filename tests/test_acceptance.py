@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from test_simulate import _two_point_exact
 from thermalsum import checks, fitting, model, reference, simulate
 from thermalsum.cli import main as cli_main
 
@@ -187,24 +188,6 @@ def test_criterion_5_walnut_fit(walnut_fit):
     )
     line = report("5", ok, detail)
     assert ok, line
-
-
-def _two_point_exact(tau: float, alpha: float, sigma: float, nmax: int) -> dict[int, float]:
-    frontier = {0.0: 1.0}
-    probs: dict[int, float] = {}
-    for n in range(1, nmax + 1):
-        nxt: dict[float, float] = {}
-        pn = 0.0
-        for s, p in frontier.items():
-            for inc in (alpha + sigma, alpha - sigma):
-                s2 = s + inc
-                if s2 > tau:
-                    pn += 0.5 * p
-                else:
-                    nxt[s2] = nxt.get(s2, 0.0) + 0.5 * p
-        probs[n] = pn
-        frontier = nxt
-    return probs
 
 
 def test_criterion_6_two_point_exactness():

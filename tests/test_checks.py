@@ -41,7 +41,7 @@ class TestNormalIgGap:
     @pytest.mark.parametrize(
         "alpha,sigma,tau",
         [(2.0, 20.0, 1000.0), (2.0, 20.0, 2000.0), (4.0, 20.0, 2000.0), (1.0, 20.0, 100.0),
-         (3.0, 7.0, 500.0)],
+         (3.0, 7.0, 500.0), (1.0, 1.0, 400.0), (1.0, 1.0, 1000.0)],
     )
     def test_matches_dense_grid_sup(self, alpha, sigma, tau):
         gap = checks._normal_ig_gap(alpha, sigma, tau)

@@ -1,10 +1,15 @@
 import datetime
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from station_csv import write_temperature_csv
+import thermalsum
 from thermalsum import data_io, regimes
 from thermalsum.cli import main
 
@@ -248,9 +253,12 @@ class TestReproduceLilacBins:
             ("lilac_phenology.csv", "L0,40.0,", "L0,95.0,"),
             ("lilac_phenology.csv", "L0,40.0,", "L0,nan,"),
             ("lilac_phenology.csv", "-75.0,2020,120,", "inf,2020,120,"),
+            ("lilac_phenology.csv", "2021,125,", "2021,366,"),
+            ("lilac_phenology.csv", "L0,40.0,", ",40.0,"),
         ],
         ids=["non_integer_doy", "phenology_header", "temperature_header",
-             "site_lat_out_of_range", "site_lat_nan", "site_lon_inf"],
+             "site_lat_out_of_range", "site_lat_nan", "site_lon_inf",
+             "bloom_doy_366_non_leap", "blank_site_id"],
     )
     def test_malformed_input_exits_2_without_run_dir(self, runner, tmp_path, filename, old, new):
         _write_lilac_fixture(tmp_path / "data")
@@ -328,3 +336,35 @@ class TestUsageValidation:
     def test_help_available_everywhere(self, runner):
         for args in (["--help"], ["approx", "--help"], ["reproduce", "--help"]):
             assert runner.invoke(main, args).exit_code == 0
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(thermalsum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        proc = _fresh_python(
+            "import sys, thermalsum.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_sim1_and_its_checks_run_with_scipy_blocked(self):
+        proc = _fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from thermalsum import checks, simulate\n"
+            "grid = simulate.run_grid(3, simulate.SIM1_ALPHAS, simulate.SIM1_BETAS,\n"
+            "                         simulate.SIM1_TAUS, replicates=200)\n"
+            "checks.sim1_ks_checks(grid)\n"
+            "checks.winter_agreement_checks(grid.cells[(4.0, 0.0, 2000.0)], tau=2000.0,\n"
+            "                               alpha=4.0, sigma=grid.sigma)\n"
+            "print('done')"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "done"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import log_ndtr, ndtr
 
 from thermalsum import model
 from thermalsum.errors import ApproximationDomainError, ParameterError
@@ -203,6 +204,29 @@ class TestSensitivity:
             assert model.sensitivity(params(alpha=a, tau=1500), "alpha") < 0
         for b in (0.05, 0.2, 1.0, 3.0):
             assert model.sensitivity(params(alpha=4, beta=b, tau=1500), "beta") < 0
+
+
+class TestStandardNormal:
+    def test_cdf_matches_scipy_ndtr(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 160_001), [-np.inf, np.inf]])
+        got, want = model.normal_cdf(x), ndtr(x)
+        assert np.all(np.abs(got - want) <= 2.3e-16)
+        # below x = -37.5 Phi is subnormal, and the two libms round its last
+        # few bits apart (scipy gives 0 where erfc gives 5e-324)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+
+    def test_cdf_keeps_shape_and_nan(self):
+        assert model.normal_cdf(0.0) == 0.5
+        assert model.normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert np.isnan(model.normal_cdf(np.nan))
+
+    def test_logsf_matches_scipy_log_ndtr(self):
+        # the Mills series takes over near b = 37.52, inside the dense stretch
+        b = np.concatenate([np.linspace(0.0, 30.0, 3_001), np.linspace(30.0, 45.0, 150_001),
+                            np.geomspace(45.0, 1e4, 2_001)])
+        got, want = model.normal_logsf(b), log_ndtr(-b)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestModelProperties:
