@@ -6,17 +6,26 @@ tau (ties at Z_n == tau continue). Replicates are reproducible and
 order-independent: replicate i of cell c under master seed s always consumes
 the substream SeedSequence((s, c, i)), so any replicate can be regenerated on
 its own and a run's hitting times depend only on (seed, cell, replicate).
+Day k of a path is always the k-th value its substream draws, and Z_n is the
+sequential sum X_1 + ... + X_n.
 Replicates are drawn in chunks, one block matrix per chunk with one substream
-per row; the chunk size is not part of the seed contract and changes no output.
+per row. Each cell plans its block lengths from its own mean path: the first
+block ends two linearized standard deviations past the mean path's crossing
+day, and the later ones are one standard deviation long. numpy's Gaussian and
+two-point draws do not depend on how a stream is split into calls, so neither
+the chunk size nor the block lengths are part of the seed contract, and
+neither changes an output.
 The chunk's generators are seeded in bulk: the PCG64 states that
 SeedSequence((s, c, i)) would give are computed for many replicates at once
 and loaded into reused generators, so the contract and every output byte are
-unchanged. verify_stopping replays through SeedSequence itself, so every run
-checks the bulk seeding against numpy's own.
+unchanged. verify_stopping replays through SeedSequence itself, drawing each
+sampled path's nu days in one call, so every run checks the bulk seeding and
+the block plan against numpy's own draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -39,11 +48,14 @@ SIM2_BETAS = (0.2, 0.4, 0.8)
 SIM2_TAUS = (1000.0, 2000.0)
 SIM2_BREAKPOINT_DAY = 90
 
-_START_BLOCK = 256
+# Bounds on a block's length in days. Short blocks cost a numpy call per row
+# for few days; long ones draw days that rows past their crossing never use.
+_MIN_BLOCK = 16
 _MAX_BLOCK = 4096
 # Replicates drawn together as one block matrix. Not part of the seed
-# contract: any chunk size gives the same hitting times. Larger chunks cost
-# peak memory (up to _CHUNK x _MAX_BLOCK doubles per matrix) for little speed.
+# contract: any chunk size, like any block plan, gives the same hitting times.
+# Larger chunks cost peak memory (up to _CHUNK x _MAX_BLOCK doubles per
+# matrix) for little speed.
 _CHUNK = 64
 # Replicates whose generator states are hashed together: larger slabs save
 # numpy calls per replicate, smaller ones hold fewer words at once.
@@ -82,6 +94,9 @@ class TemperatureProcessSpec:
             raise ParameterError(
                 f"noise_law must be 'gaussian' or 'two_point', got {self.noise_law!r}"
             )
+        for name in ("alpha", "beta", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.breakpoint_day < 0:
@@ -188,18 +203,35 @@ def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[d
         start = end
 
 
-def _block_schedule(max_horizon: int) -> Iterator[tuple[int, int]]:
-    """(days before the block, block length) pairs covering days 1..max_horizon.
+def _block_plan(spec: TemperatureProcessSpec, tau: float, max_horizon: int) -> tuple[int, int]:
+    """(first, later) block lengths in days for one cell's paths.
 
-    Blocks start at _START_BLOCK days and double up to _MAX_BLOCK; this
-    schedule fixes which draws of a substream land on which day.
+    m is the first day the mean path sum(mu_1..mu_m) exceeds tau, and
+    s = sigma*sqrt(m)/mu_m is the linearized sd of the hitting time around
+    it. The first block ends at ceil(m + 2s); later blocks are ceil(s) days
+    and at least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
+    mean crossing within max_horizon every block is _MAX_BLOCK. The plan only
+    sizes the draws: hitting times do not depend on it. The mean path is
+    summed _MAX_BLOCK days at a time, so memory stays bounded at any horizon.
     """
-    day0, block = 0, _START_BLOCK
+    if not (math.isfinite(tau) and tau > 0):
+        raise ParameterError(f"tau must be finite and > 0, got {tau}")
+    total, day0 = 0.0, 0
     while day0 < max_horizon:
-        n = min(block, max_horizon - day0)
-        yield day0, n
-        day0 += n
-        block = min(block * 2, _MAX_BLOCK)
+        n = min(_MAX_BLOCK, max_horizon - day0)
+        path = spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
+        path[0] += total
+        np.cumsum(path, out=path)
+        crossed = path > tau
+        if crossed.any():
+            m = day0 + int(np.argmax(crossed)) + 1
+            # mu_m > 0: it carries the mean path from <= tau to > tau
+            s = spec.noise_sigma * math.sqrt(m) / float(spec.mean_at(m))
+            first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
+            later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
+            return first, later
+        total, day0 = path[-1], day0 + n
+    return _MAX_BLOCK, _MAX_BLOCK
 
 
 def _block_values(
@@ -224,29 +256,32 @@ def _first_passage(
     tau: float,
     rngs: Sequence[np.random.Generator],
     max_horizon: int,
+    plan: tuple[int, int],
 ) -> np.ndarray:
     """Hitting time of the path drawn from each generator, in generator order.
 
-    All rows walk the block schedule together; a row leaves the block matrix
-    once it has crossed. A row's cumsum along axis 1 is the same sequential
-    sum as a one-path cumsum, so each hitting time depends on its own
-    generator only, bit for bit.
+    All rows walk the blocks of plan (first, later) together; a row leaves
+    the block matrix once it has crossed. Each row's carry is added to its
+    first day before the cumsum along axis 1, so Z_n is the sequential sum
+    of a one-path cumsum and each hitting time depends on its own generator
+    only, bit for bit, whatever the plan.
     """
-    if tau <= 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
     out = np.empty(len(rngs), dtype=np.int64)
     alive = np.arange(len(rngs))
-    carry = np.zeros((len(rngs), 1))
-    for day0, n in _block_schedule(max_horizon):
+    carry = np.zeros(len(rngs))
+    day0, block = 0, plan[0]
+    while day0 < max_horizon:
+        n = min(block, max_horizon - day0)
         z = _block_values(spec, [rngs[k] for k in alive], day0, n)
+        z[:, 0] += carry
         np.cumsum(z, axis=1, out=z)
-        z += carry
         crossed = z > tau
         hit = crossed.any(axis=1)
         out[alive[hit]] = day0 + np.argmax(crossed[hit], axis=1) + 1
-        alive, carry = alive[~hit], z[~hit, -1:]
+        alive, carry = alive[~hit], z[~hit, -1]
         if not len(alive):
             return out
+        day0, block = day0 + n, plan[1]
     raise HorizonExceeded(
         f"{len(alive)} of {len(rngs)} paths did not cross tau={tau} within "
         f"{max_horizon} days (alpha={spec.alpha}, beta={spec.beta}, "
@@ -266,7 +301,8 @@ def simulate_hitting_time(
     with Z_n > tau, so Z_{n-1} <= tau < Z_n. Raises HorizonExceeded if the
     path has not crossed by max_horizon (possible with clipping and low alpha).
     """
-    return int(_first_passage(spec, tau, [rng], max_horizon)[0])
+    plan = _block_plan(spec, tau, max_horizon)
+    return int(_first_passage(spec, tau, [rng], max_horizon, plan)[0])
 
 
 def simulate_hitting_times(
@@ -282,12 +318,13 @@ def simulate_hitting_times(
     Replicate i is simulate_hitting_time on substream(seed, cell, i), so
     identical (seed, cell) always yields identical output. Replicates are
     drawn _CHUNK at a time from reused generators loaded with the substream
-    states; the chunk size does not change any output.
+    states, on one block plan for the cell; neither changes any output.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if seed < 0 or cell < 0:
         raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
+    plan = _block_plan(spec, tau, max_horizon)
     out = np.empty(replicates, dtype=np.int64)
     rngs = [np.random.default_rng() for _ in range(min(_CHUNK, replicates))]
     states = _substream_states(seed, cell, 0, replicates)
@@ -297,7 +334,7 @@ def simulate_hitting_times(
         # a loaded state also empties the 32-bit buffer the two-point draw reads
         for rng, state in zip(chunk, states):
             rng.bit_generator.state = state
-        out[start:stop] = _first_passage(spec, tau, chunk, max_horizon)
+        out[start:stop] = _first_passage(spec, tau, chunk, max_horizon, plan)
     return out
 
 
@@ -307,27 +344,19 @@ def verify_stopping(
     seed: int,
     cell: int,
     hitting_times: np.ndarray,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
     sample: Sequence[int] = (0, 1, -1),
 ) -> None:
     """Re-derive a few replicates' paths and assert Z_{nu-1} <= tau < Z_nu.
 
-    max_horizon must match the generating run: the replay consumes each
-    substream on the same block schedule. The replay is independent of the
-    crossing search: one plain cumsum over the whole replayed path.
+    The replay is independent of the crossing search and of the block plan:
+    nu days drawn in one call from the replicate's substream, then one plain
+    cumsum.
     """
     r = len(hitting_times)
     for idx in sample:
         i = idx % r
         nu = int(hitting_times[i])
-        rng = substream(seed, cell, i)
-        # replay enough whole blocks to cover day nu
-        blocks = []
-        for day0, n in _block_schedule(max_horizon):
-            if day0 >= nu:
-                break
-            blocks.append(_block_values(spec, [rng], day0, n)[0])
-        z = np.cumsum(np.concatenate(blocks))
+        z = np.cumsum(_block_values(spec, [substream(seed, cell, i)], 0, nu)[0])
         if not z[nu - 1] > tau:
             raise AssertionError(f"replicate {i}: Z_nu={z[nu-1]} not > tau={tau}")
         if nu > 1 and not z[nu - 2] <= tau:
@@ -366,7 +395,7 @@ def _run_cell(
     standardized values from Normal(0,1) is attached.
     """
     times = simulate_hitting_times(spec, tau, replicates, seed, cell, max_horizon)
-    verify_stopping(spec, tau, seed, cell, times, max_horizon)
+    verify_stopping(spec, tau, seed, cell, times)
     result = SimulationResult(
         hitting_times=times,
         mean=float(times.mean()),

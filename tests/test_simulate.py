@@ -27,6 +27,13 @@ class TestTemperatureProcessSpec:
         with pytest.raises(ParameterError):
             simulate.TemperatureProcessSpec(4, 0, 20, breakpoint_day=-1)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"alpha": 4.0, "beta": 0.1, "noise_sigma": 20.0, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            simulate.TemperatureProcessSpec(**fields)
+
     def test_piecewise_mean_profile(self):
         spec = seasonal(4, 0.2, 20)
         days = np.array([1, 90, 91, 180, 250])
@@ -60,6 +67,15 @@ class TestSimulateHittingTime:
     def test_rejects_non_positive_tau(self):
         with pytest.raises(ParameterError):
             simulate.simulate_hitting_time(linear(4, 0, 0), 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_tau(self, tau):
+        # before any path is drawn: an infinite tau would otherwise run the
+        # whole horizon and end in HorizonExceeded
+        with pytest.raises(ParameterError, match="tau must be finite"):
+            simulate.simulate_hitting_times(linear(4, 0, 20), tau, 3, seed=1)
+        with pytest.raises(ParameterError, match="tau must be finite"):
+            simulate.simulate_hitting_time(linear(4, 0, 20), tau, np.random.default_rng(0))
 
     def test_horizon_exceeded(self):
         with pytest.raises(HorizonExceeded):
@@ -109,24 +125,28 @@ def _two_point_exact(tau, alpha, sigma, nmax):
 
 
 def _one_path_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORIZON):
-    # reference loop: one path, one 1-D cumsum per block, blocks of 256 days
-    # doubling to 4096, the first day with Z_n > tau
-    carry, day0, block = 0.0, 0, 256
-    while day0 < max_horizon:
-        n = min(block, max_horizon - day0)
-        days = np.arange(day0 + 1, day0 + n + 1)
-        if spec.noise_law == "gaussian":
-            noise = spec.noise_sigma * rng.standard_normal(n)
-        else:
-            noise = spec.noise_sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
-        values = spec.mean_at(days) + noise
-        if spec.clip_at_base:
-            values = np.maximum(values, 0.0)
-        z = carry + np.cumsum(values)
-        if (z > tau).any():
-            return day0 + int(np.argmax(z > tau)) + 1
-        carry, day0, block = float(z[-1]), day0 + n, min(2 * block, 4096)
-    raise HorizonExceeded(f"no crossing within {max_horizon} days")
+    # reference: one path, the whole horizon drawn in one call, one 1-D
+    # cumsum, the first day with Z_n > tau
+    days = np.arange(1, max_horizon + 1)
+    if spec.noise_law == "gaussian":
+        noise = spec.noise_sigma * rng.standard_normal(max_horizon)
+    else:
+        noise = spec.noise_sigma * (2.0 * rng.integers(0, 2, size=max_horizon) - 1.0)
+    values = spec.mean_at(days) + noise
+    if spec.clip_at_base:
+        values = np.maximum(values, 0.0)
+    z = np.cumsum(values)
+    if not (z > tau).any():
+        raise HorizonExceeded(f"no crossing within {max_horizon} days")
+    return int(np.argmax(z > tau)) + 1
+
+
+def _rows_drawn(nu, plan, max_horizon):
+    # days a row crossing on day nu draws under plan (first, later)
+    first, later = plan
+    if nu <= first:
+        return min(first, max_horizon)
+    return min(first + later * -(-(nu - first) // later), max_horizon)
 
 
 class TestBatchProperties:
@@ -156,8 +176,9 @@ class TestBatchProperties:
         ],
     )
     def test_golden_hitting_times(self, spec, tau, cell, expected):
-        # recorded under the SeedSequence((seed, cell, i)) contract and the
-        # 256..4096-day block schedule; a change here changes every seeded output
+        # recorded under the SeedSequence((seed, cell, i)) contract, when
+        # blocks still ran 256 days doubling to 4096; the block plan is not
+        # part of the contract, and a change here changes every seeded output
         times = simulate.simulate_hitting_times(spec, tau, len(expected), seed=7, cell=cell)
         assert times.tolist() == expected
 
@@ -173,6 +194,15 @@ class TestBatchProperties:
         lo = simulate.simulate_hitting_times(linear(3, 0.1, 20), 1000.0, 300, seed=33)
         hi = simulate.simulate_hitting_times(linear(5, 0.1, 20), 1000.0, 300, seed=33)
         assert np.all(hi <= lo)
+
+    def test_crossing_is_on_the_sequential_sum(self):
+        # noiseless, so the hitting time is fixed by rounding alone: the
+        # sequential Z_258 = 25.800000000000097 already exceeds tau, while a
+        # block carry added after a cumsum from day 257 on ended on day 259
+        res = simulate.run_simulation_1(0.1, 0.0, 25.800000000000093, sigma=0.0,
+                                        replicates=3, seed=0)
+        assert res.hitting_times.tolist() == [258, 258, 258]
+        assert np.cumsum(np.full(258, 0.1))[-1] == 25.800000000000097
 
     def test_stopping_rule_on_replayed_paths(self):
         spec = seasonal(8, 0.4, 20)
@@ -227,6 +257,67 @@ class TestBatchProperties:
             simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, 0, seed=1)
 
 
+# (spec, tau, cell): Gaussian rows crossing in 150-250 days, two-point rows
+# near day 300, clipped rows near day 50, and a noiseless path whose
+# crossing day a block carry added after the cumsum would round away
+PLAN_CASES = [
+    (linear(4, 0.1, 20), 800.0, 1),
+    (linear(1, 0, 3, noise_law="two_point"), 300.0, 2),
+    (linear(1, 0, 30, clip_at_base=True), 500.0, 3),
+    (linear(0.1, 0, 0), 25.800000000000093, 0),
+]
+PLAN_REPLICATES = simulate._CHUNK + 3
+
+
+class TestBlockPlan:
+    def test_first_block_ends_two_sd_past_the_mean_crossing(self):
+        # mean path 4n crosses 1000 on day 251; s = 20*sqrt(251)/4 = 79.2
+        assert simulate._block_plan(linear(4, 0, 20), 1000.0, 10_000) == (410, 80)
+
+    def test_block_bounds(self):
+        # noiseless: later blocks are never shorter than _MIN_BLOCK
+        assert simulate._block_plan(linear(4, 0, 0), 1000.0, 10_000) == (251, simulate._MIN_BLOCK)
+        # mean path 0.5n crosses on day 2001 with s = 1789.3: the first block
+        # is capped
+        assert simulate._block_plan(linear(0.5, 0, 20), 1000.0, 10_000) == (simulate._MAX_BLOCK, 1790)
+        # no mean crossing within the horizon: every block is the largest
+        assert simulate._block_plan(linear(0.01, 0, 0), 1000.0, 100) == (simulate._MAX_BLOCK,) * 2
+        # the mean path 0.25n first exceeds 1024 on day 4097, one day past
+        # the first _MAX_BLOCK days it is summed over
+        spec = linear(0.25, 0, 0)
+        assert simulate._block_plan(spec, 1024.0, 4096) == (simulate._MAX_BLOCK,) * 2
+        assert simulate._block_plan(spec, 1024.0, 4097) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(range(len(PLAN_CASES))),
+        first=st.integers(1, 500),
+        later=st.integers(1, 300),
+        edge_row=st.none() | st.integers(0, PLAN_REPLICATES - 1),
+    )
+    @example(case=0, first=1, later=1, edge_row=None)
+    @example(case=1, first=1, later=1, edge_row=None)
+    @example(case=2, first=1, later=1, edge_row=None)
+    @example(case=3, first=256, later=256, edge_row=None)
+    def test_hitting_times_do_not_depend_on_the_plan(self, case, first, later, edge_row):
+        # day k is the stream's k-th draw and Z_n the sequential sum whatever
+        # the block lengths; with edge_row set, that row crosses on the last
+        # day of the first block and the first row crossing after it on the
+        # last day of a later block
+        spec, tau, cell = PLAN_CASES[case]
+        expected = [_one_path_hitting_time(spec, tau, simulate.substream(5, cell, i))
+                    for i in range(PLAN_REPLICATES)]
+        if edge_row is not None:
+            first = expected[edge_row]
+            after = [nu - first for nu in expected if nu > first]
+            if after:
+                later = min(after)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_block_plan", lambda *args: (first, later))
+            times = simulate.simulate_hitting_times(spec, tau, PLAN_REPLICATES, seed=5, cell=cell)
+        assert times.tolist() == expected
+
+
 class TestBulkSeeding:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -249,13 +340,14 @@ class TestBulkSeeding:
                        for i in range(start, start + 4)]
 
     def test_two_point_rows_start_with_empty_buffer(self):
-        # a path past day 256 draws 256 + 257 values from 32-bit halves,
-        # leaving one buffered in its generator; the next chunk reuses that
-        # generator and must not read the stale half
+        # a row that draws an odd number of days from 32-bit halves leaves
+        # one buffered in its generator; the next chunk reuses the generators
+        # of rows 0 and 1 and must not read a stale half
         spec, tau, horizon = linear(1, 0, 3, noise_law="two_point"), 250.0, 513
+        plan = simulate._block_plan(spec, tau, horizon)
         n = simulate._CHUNK + 2
         times = simulate.simulate_hitting_times(spec, tau, n, seed=6, cell=2, max_horizon=horizon)
-        assert times[:2].min() > 256
+        assert any(_rows_drawn(int(nu), plan, horizon) % 2 for nu in times[:2])
         loop = [_one_path_hitting_time(spec, tau, simulate.substream(6, 2, i), horizon)
                 for i in range(n)]
         assert times.tolist() == loop
