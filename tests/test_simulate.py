@@ -198,7 +198,7 @@ class TestBatchProperties:
     def test_crossing_is_on_the_sequential_sum(self):
         # noiseless, so the hitting time is fixed by rounding alone: the
         # sequential Z_258 = 25.800000000000097 already exceeds tau, while a
-        # block carry added after a cumsum from day 257 on ended on day 259
+        # carry added after a block's cumsum can round the crossing to day 259
         res = simulate.run_simulation_1(0.1, 0.0, 25.800000000000093, sigma=0.0,
                                         replicates=3, seed=0)
         assert res.hitting_times.tolist() == [258, 258, 258]
