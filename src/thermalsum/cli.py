@@ -241,14 +241,15 @@ def _reproduce_lilac_bins(
         _lilac_synthetic_fallback(seed, replicates, out, force)
         return
 
+    # phenology first: the temperature parse keeps only the rows its join can read
     try:
-        parsed = data_io.parse_temperature_csv(temp_path, units=units)
-        phenology = data_io.parse_phenology_csv(phen_path)
+        observations = data_io.filter_phenology(
+            data_io.parse_phenology_csv(phen_path),
+            species=DEFAULT_SPECIES, phenophase=DEFAULT_PHENOPHASE,
+        )
+        parsed = data_io.parse_temperature_csv(temp_path, units=units, observations=observations)
     except ThermalSumError as exc:
         raise click.UsageError(str(exc)) from None
-    observations = data_io.filter_phenology(
-        phenology, species=DEFAULT_SPECIES, phenophase=DEFAULT_PHENOPHASE
-    )
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
     click.echo(
         f"lilac-bins: {diag.n_rows} rows from {diag.n_observations} observations "

@@ -146,18 +146,32 @@ _PARSE_ROWS = 1024
 _MEMO_CELLS = 1 << 16
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _UNIX_EPOCH = datetime.date(1970, 1, 1).toordinal()
+_NO_DAY = np.iinfo(np.int64).min
+# Slack on the station pre-filter's distance, far above any rounding gap
+# between its vectorized haversine and haversine_km.
+_MARGIN_KM = 1.0
 
 
-def parse_temperature_csv(path: str | Path, units: str = "degrees") -> ParseResult:
+def parse_temperature_csv(
+    path: str | Path,
+    units: str = "degrees",
+    observations: Iterable[PhenologyObservation] | None = None,
+) -> ParseResult:
     """Parse a station temperature CSV, counting (not failing on) bad rows.
 
     Rows are rejected when the station id is blank, the date is not a valid
     YYYY-MM-DD, a coordinate or reading fails to parse or is not finite,
     coordinates are out of range, or tmin exceeds tmax. Blank rows are
     skipped. units="tenths" divides temperatures by 10 (raw GHCND convention).
+
+    With observations given, records keeps only the accepted rows that
+    build_analysis_rows(observations, ...) can read at a max_km of at most
+    MATCH_CUTOFF_KM (see _JoinRows), so memory follows the kept rows; that
+    join's output and rejected are the same as without them.
     """
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
+    keep = None if observations is None else _JoinRows(observations)
     reading = _Cells(functools.partial(_reading, scale=0.1 if units == "tenths" else 1.0), float)
     cells = (
         _Cells(_station_id, None),
@@ -181,13 +195,69 @@ def parse_temperature_csv(path: str | Path, units: str = "degrees") -> ParseResu
                 f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
             )
         while rows := list(itertools.islice(reader, _PARSE_ROWS)):
-            columns, n_rejected = _parse_rows(rows, cells, codes)
-            chunks.append(columns)
+            columns, n_rejected = _parse_rows(rows, cells, codes, keep)
+            if len(columns[0]):
+                chunks.append(columns)
             rejected += n_rejected
     if not chunks:
-        return ParseResult(records=StationTable.from_records(()), rejected=0)
+        return ParseResult(records=StationTable.from_records(()), rejected=rejected)
     table = StationTable(tuple(codes), *map(np.concatenate, zip(*chunks)))
     return ParseResult(records=table, rejected=rejected)
+
+
+class _JoinRows:
+    """Which accepted rows a join of the given observations can read.
+
+    A row stays if its station lies within MATCH_CUTOFF_KM + _MARGIN_KM of
+    some site, judged once from the station's first accepted row, and its
+    date lies in [1 Jan, 1 Jan + beta_window(year).stop) of an observed
+    year or it is the station's first accepted row (which fixes the
+    station's coordinates). The margin keeps every station the scalar
+    match_station could choose, whatever the last bits of either haversine.
+    """
+
+    def __init__(self, observations: Iterable[PhenologyObservation]) -> None:
+        observations = list(observations)
+        sites = np.radians(sorted({(o.latitude, o.longitude) for o in observations}))
+        self.site_lat, self.site_lon = sites.reshape(-1, 2).T
+        self.site_cos = np.cos(self.site_lat)
+        years = sorted({o.year for o in observations})
+        jan1 = [datetime.date(y, 1, 1).toordinal() for y in years]
+        # an empty first window, so every date falls after some window's start
+        self.start = np.array([_NO_DAY] + jan1, dtype=np.int64)
+        self.stop = np.array(
+            [_NO_DAY] + [d + regimes.beta_window(y).stop for d, y in zip(jan1, years)],
+            dtype=np.int64,
+        )
+        self.near: dict[str, bool] = {}
+
+    def __call__(
+        self, ids: list[str], day: np.ndarray, lat: np.ndarray, lon: np.ndarray
+    ) -> np.ndarray:
+        """Mask over one chunk of accepted rows, in file order."""
+        stations = dict.fromkeys(ids)
+        first = [ids.index(s) for s in stations if s not in self.near]
+        for k in first:
+            km = self._km_to_nearest_site(float(lat[k]), float(lon[k]))
+            self.near[ids[k]] = km <= MATCH_CUTOFF_KM + _MARGIN_KM
+        near = [self.near[s] for s in stations]
+        if not any(near):
+            return np.zeros(len(ids), dtype=bool)
+        readable = day < self.stop[np.searchsorted(self.start, day, side="right") - 1]
+        readable[first] = True
+        if all(near):
+            return readable
+        return readable & np.fromiter(map(self.near.__getitem__, ids), dtype=bool, count=len(ids))
+
+    def _km_to_nearest_site(self, lat: float, lon: float) -> float:
+        """Haversine distance from (lat, lon) to the nearest site; inf with none."""
+        if not len(self.site_lat):
+            return math.inf
+        p = math.radians(lat)
+        a = np.sin((self.site_lat - p) / 2) ** 2 + math.cos(p) * self.site_cos * np.sin(
+            (self.site_lon - math.radians(lon)) / 2
+        ) ** 2
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(float(a.min()), 1.0)))
 
 
 class _Cells:
@@ -208,13 +278,17 @@ class _Cells:
 
 
 def _parse_rows(
-    rows: list[list[str]], cells: tuple[_Cells, ...], codes: dict[str, int]
+    rows: list[list[str]],
+    cells: tuple[_Cells, ...],
+    codes: dict[str, int],
+    keep: _JoinRows | None,
 ) -> tuple[tuple[np.ndarray, ...], int]:
-    """Columns of the accepted rows, in order, and the count of rejected ones.
+    """Columns of the accepted rows that keep passes, in order, and the
+    count of rejected ones (keep None passes every row).
 
     A cell that fails marks its row: "" for a station id, -1 for a date,
     NaN for a coordinate, inf for a reading (NaN there is a blank). Station
-    ids of accepted rows join codes in file order.
+    ids of kept rows join codes in file order.
     """
     n = len(rows)
     columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
@@ -225,10 +299,17 @@ def _parse_rows(
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
     n_blank = sum(all(not c.strip() for c in rows[k]) for k in np.flatnonzero(~has_id))
     accepted = list(itertools.compress(ids, ok.tolist()))
+    n_rejected = n - len(accepted) - n_blank
+    columns = (day[ok], lat[ok], lon[ok], tmax[ok], tmin[ok])
+    if keep is not None:
+        kept = keep(accepted, *columns[:3])
+        if not kept.all():
+            accepted = list(itertools.compress(accepted, kept.tolist()))
+            columns = tuple(c[kept] for c in columns)
     for s in dict.fromkeys(accepted):
         codes.setdefault(s, len(codes))
     station = np.fromiter(map(codes.__getitem__, accepted), dtype=np.intp, count=len(accepted))
-    return (station, day[ok], lat[ok], lon[ok], tmax[ok], tmin[ok]), n - len(accepted) - n_blank
+    return (station, *columns), n_rejected
 
 
 def _station_id(cell: str | None) -> str:

@@ -9,9 +9,10 @@ its own and a run's hitting times depend only on (seed, cell, replicate).
 Day k of a path is always the k-th value its substream draws, and Z_n is the
 sequential sum X_1 + ... + X_n.
 Replicates are drawn in chunks, one block matrix per chunk with one substream
-per row. Each cell plans its block lengths from its own mean path: the first
-block ends two linearized standard deviations past the mean path's crossing
-day, and the later ones are one standard deviation long. numpy's Gaussian and
+per row. Each cell plans its block lengths from its own mean path (of the
+clipped values, for a spec that clips at base): the first block ends two
+linearized standard deviations past the mean path's crossing day, and the
+later ones are one standard deviation long. numpy's Gaussian and
 two-point draws do not depend on how a stream is split into calls, so neither
 the chunk size nor the block lengths are part of the seed contract, and
 neither changes an output.
@@ -206,10 +207,11 @@ def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[d
 def _block_plan(spec: TemperatureProcessSpec, tau: float, max_horizon: int) -> tuple[int, int]:
     """(first, later) block lengths in days for one cell's paths.
 
-    m is the first day the mean path sum(mu_1..mu_m) exceeds tau, and
-    s = sigma*sqrt(m)/mu_m is the linearized sd of the hitting time around
-    it. The first block ends at ceil(m + 2s); later blocks are ceil(s) days
-    and at least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
+    m is the first day the mean path sum(E[X_1]..E[X_m]) exceeds tau, and
+    s = sigma*sqrt(m)/E[X_m] is the linearized sd of the hitting time around
+    it; E[X_i] is mu_i unless the spec clips at base (see _daily_mean). The
+    first block ends at ceil(m + 2s); later blocks are ceil(s) days and at
+    least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
     mean crossing within max_horizon every block is _MAX_BLOCK. The plan only
     sizes the draws: hitting times do not depend on it. The mean path is
     summed _MAX_BLOCK days at a time, so memory stays bounded at any horizon.
@@ -219,19 +221,33 @@ def _block_plan(spec: TemperatureProcessSpec, tau: float, max_horizon: int) -> t
     total, day0 = 0.0, 0
     while day0 < max_horizon:
         n = min(_MAX_BLOCK, max_horizon - day0)
-        path = spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
+        path = _daily_mean(spec, np.arange(day0 + 1, day0 + n + 1))
         path[0] += total
         np.cumsum(path, out=path)
         crossed = path > tau
         if crossed.any():
             m = day0 + int(np.argmax(crossed)) + 1
-            # mu_m > 0: it carries the mean path from <= tau to > tau
-            s = spec.noise_sigma * math.sqrt(m) / float(spec.mean_at(m))
+            # E[X_m] > 0: it carries the mean path from <= tau to > tau
+            s = spec.noise_sigma * math.sqrt(m) / float(_daily_mean(spec, m))
             first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
             later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
             return first, later
         total, day0 = path[-1], day0 + n
     return _MAX_BLOCK, _MAX_BLOCK
+
+
+def _daily_mean(spec: TemperatureProcessSpec, days: np.ndarray) -> np.ndarray:
+    """E[X_i] for an array of days: mu_i, or E[max(mu_i + eps_i, 0)] when clipped."""
+    mu = spec.mean_at(days)
+    if not spec.clip_at_base:
+        return mu
+    sigma = spec.noise_sigma
+    if sigma == 0:
+        return np.maximum(mu, 0.0)
+    if spec.noise_law == "two_point":
+        return 0.5 * (np.maximum(mu + sigma, 0.0) + np.maximum(mu - sigma, 0.0))
+    z = mu / sigma
+    return mu * model.normal_cdf(z) + sigma * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
 
 def _block_values(

@@ -15,12 +15,14 @@ def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TEMPERATURE_HEADER) + "\n")
         for r in records:
-            tmax = "" if r.tmax is None else f"{r.tmax:.6g}"
-            tmin = "" if r.tmin is None else f"{r.tmin:.6g}"
-            fh.write(
-                f"{r.station_id},{r.date.isoformat()},{r.latitude:.6g},"
-                f"{r.longitude:.6g},{tmax},{tmin}\n"
-            )
+            fh.write(temperature_line(r) + "\n")
+
+
+def temperature_line(r: StationRecord) -> str:
+    """One record as a CSV line, without the line ending."""
+    tmax = "" if r.tmax is None else f"{r.tmax:.6g}"
+    tmin = "" if r.tmin is None else f"{r.tmin:.6g}"
+    return f"{r.station_id},{r.date.isoformat()},{r.latitude:.6g},{r.longitude:.6g},{tmax},{tmin}"
 
 
 def to_records(table: StationTable) -> list[StationRecord]:

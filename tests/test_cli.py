@@ -245,33 +245,39 @@ class TestReproduceLilacBins:
         assert result.exit_code in (0, 1)  # tolerance is tuned for R=10000
 
     @pytest.mark.parametrize(
-        "filename, old, new",
+        "edits",
         [
-            ("lilac_phenology.csv", ",120,", ",131.5,"),
-            ("lilac_phenology.csv", "site_id,", "site,"),
-            ("daily_temperatures.csv", "station_id,", "station,"),
-            ("lilac_phenology.csv", "L0,40.0,", "L0,95.0,"),
-            ("lilac_phenology.csv", "L0,40.0,", "L0,nan,"),
-            ("lilac_phenology.csv", "-75.0,2020,120,", "inf,2020,120,"),
-            ("lilac_phenology.csv", "2021,125,", "2021,366,"),
-            ("lilac_phenology.csv", "L0,40.0,", ",40.0,"),
+            [("lilac_phenology.csv", ",120,", ",131.5,")],
+            [("lilac_phenology.csv", "site_id,", "site,")],
+            [("daily_temperatures.csv", "station_id,", "station,")],
+            [("lilac_phenology.csv", "L0,40.0,", "L0,95.0,")],
+            [("lilac_phenology.csv", "L0,40.0,", "L0,nan,")],
+            [("lilac_phenology.csv", "-75.0,2020,120,", "inf,2020,120,")],
+            [("lilac_phenology.csv", "2021,125,", "2021,366,")],
+            [("lilac_phenology.csv", "L0,40.0,", ",40.0,")],
+            # the phenology file is parsed first, so it is the one named
+            [("lilac_phenology.csv", "site_id,", "site,"),
+             ("daily_temperatures.csv", "station_id,", "station,")],
         ],
         ids=["non_integer_doy", "phenology_header", "temperature_header",
              "site_lat_out_of_range", "site_lat_nan", "site_lon_inf",
-             "bloom_doy_366_non_leap", "blank_site_id"],
+             "bloom_doy_366_non_leap", "blank_site_id", "both_headers"],
     )
-    def test_malformed_input_exits_2_without_run_dir(self, runner, tmp_path, filename, old, new):
+    def test_malformed_input_exits_2_without_run_dir(self, runner, tmp_path, edits):
         _write_lilac_fixture(tmp_path / "data")
-        path = tmp_path / "data" / filename
-        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        for filename, old, new in edits:
+            path = tmp_path / "data" / filename
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
         result = runner.invoke(
             main,
             ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
              "--data-dir", str(tmp_path / "data")],
         )
         assert result.exit_code == 2, result.output
-        assert filename in result.output
+        assert edits[0][0] in result.output
         assert not (tmp_path / "runs").exists()
+        if len(edits) > 1:
+            assert edits[1][0] not in result.output
 
     def test_zero_joined_rows_exits_3_without_run_dir(self, runner, tmp_path):
         _write_lilac_fixture(tmp_path / "data")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from station_csv import parse_temperature_rows, to_records, write_temperature_csv
+from station_csv import parse_temperature_rows, temperature_line, to_records, write_temperature_csv
 from thermalsum import data_io, regimes
 from thermalsum.errors import EmptyFile, MissingHeader, ParameterError
 
@@ -499,6 +499,137 @@ def test_join_ignores_record_order(data):
     assert data_io.build_analysis_rows(obs, from_records(shuffled)) == data_io.build_analysis_rows(
         obs, from_records(records)
     )
+
+
+# Observation sites, and stations within the cutoff of one (NEAR) or farther
+# than the cutoff plus the filter's 1 km margin from both (FAR; F2 is about
+# 85 km east of the first site).
+JOIN_SITES = ((40.0, -75.0), (42.0, -75.0))
+NEAR_STATIONS = (("N1", 40.05, -75.0), ("N2", 42.0, -75.1))
+FAR_STATIONS = (("F1", 45.0, -75.0), ("F2", 40.0, -74.0))
+
+
+def observations_at(pairs):
+    return [dataclasses.replace(site(*JOIN_SITES[k]), site_id=f"L{k}", year=year)
+            for k, year in pairs]
+
+
+def subsequence(short, long):
+    it = iter(long)
+    return all(any(x == y for y in it) for x in short)
+
+
+@st.composite
+def join_archives(draw):
+    """Lines of a temperature file (header excluded) for the filtered parse.
+
+    Near and far stations with complete or gappy January-April years,
+    observed or not, readings in every month of 2019-2022, re-read
+    station-days and rejected rows, in any order. Station M's first
+    accepted row, on 15 June 2019, lies outside every window; it sits
+    either 1 km from the first site (nearer than N1) or far from both, and
+    M's later rows sit at the other place.
+    """
+    records = []
+    for sid, lat, lon in NEAR_STATIONS + FAR_STATIONS:
+        for year in (2019, 2020, 2021):
+            if draw(st.booleans()):
+                rows = synthetic_year_records(sid, lat, lon, year=year,
+                                              alpha=draw(st.floats(-2.0, 8.0)),
+                                              beta=draw(st.floats(0.05, 0.35)))
+                gaps = draw(st.sets(st.integers(0, len(rows) - 1), max_size=30))
+                records += [r for k, r in enumerate(rows) if k not in gaps]
+        for day in draw(st.lists(st.dates(datetime.date(2019, 1, 1), datetime.date(2022, 12, 31)),
+                                 max_size=12)):
+            records.append(data_io.StationRecord(sid, day, lat, lon, 20.0, 10.0))
+    first, later = draw(st.permutations([(40.01, -75.0), (44.0, -75.0)]))
+    records += synthetic_year_records("M", *later, year=draw(st.sampled_from([2020, 2021])))
+    again = draw(st.lists(st.sampled_from(records), max_size=10)) if records else []
+    records += [dataclasses.replace(r, tmax=r.tmax + 3.0, tmin=r.tmin + 1.0) for r in again]
+    lines = [temperature_line(r) for r in records]
+    lines += ["N1,2020-02-30,40.05,-75.0,5.0,1.0", "F1,2021-03-01,45.0,-75.0,1.0,5.0",
+              "N2,2021-03-02,95.0,-75.1,5.0,1.0", ",2020-03-01,40.0,-75.0,5.0,1.0"]
+    draw(st.randoms(use_true_random=False)).shuffle(lines)
+    moved = data_io.StationRecord("M", datetime.date(2019, 6, 15), *first, 25.0, 15.0)
+    # a rejected row of M comes first, at the later place
+    head = [f"M,2019-06-14,{later[0]},{later[1]},1.0,5.0", temperature_line(moved)]
+    return head + lines
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lines=join_archives(),
+    pairs=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([2019, 2020, 2021, 2022])),
+                   max_size=6),
+    chunk_rows=st.sampled_from([7, data_io._PARSE_ROWS]),
+)
+def test_filtered_parse_joins_as_the_full_parse(tmp_path_factory, lines, pairs, chunk_rows):
+    path = tmp_path_factory.mktemp("filtered") / "t.csv"
+    path.write_text("\n".join([HEADER] + lines) + "\n", encoding="utf-8")
+    obs = observations_at(pairs)
+    with mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows):
+        full = data_io.parse_temperature_csv(path)
+        kept = data_io.parse_temperature_csv(path, observations=obs)
+    assert kept.rejected == full.rejected == 5
+    assert subsequence(to_records(kept.records), to_records(full.records))
+    assert data_io.build_analysis_rows(obs, kept.records) == data_io.build_analysis_rows(
+        obs, full.records)
+
+
+class TestJoinFilter:
+    def parse(self, tmp_path, records, obs):
+        path = tmp_path / "t.csv"
+        write_temperature_csv(records, path)
+        return data_io.parse_temperature_csv(path, observations=obs)
+
+    def test_keeps_the_windows_of_observed_years_and_first_rows(self, tmp_path):
+        leap = [data_io.StationRecord("N1", datetime.date(2020, m, d), 40.05, -75.0, 5.0, 1.0)
+                for m, d in ((6, 1), (1, 1), (4, 29), (4, 30), (5, 1), (12, 31))]
+        other = dataclasses.replace(leap[1], date=datetime.date(2021, 1, 1))
+        kept = self.parse(tmp_path, leap + [other], observations_at([(0, 2020)]))
+        # 30 April 2020 is day 121, the last of 2020's beta window
+        assert [r.date for r in to_records(kept.records)] == [
+            datetime.date(2020, 6, 1), datetime.date(2020, 1, 1),
+            datetime.date(2020, 4, 29), datetime.date(2020, 4, 30),
+        ]
+
+    def test_station_margin(self, tmp_path):
+        # a station 16.5 km from the site, beyond the cutoff, is kept; one at
+        # 17.5 km is not
+        records = [
+            data_io.StationRecord(sid, datetime.date(2021, 2, 1), 40.0 + km / 111.195, -75.0, 5.0, 1.0)
+            for sid, km in (("A", 16.5), ("B", 17.5))
+        ]
+        kept = self.parse(tmp_path, records, observations_at([(0, 2021)]))
+        assert kept.records.station_ids == ("A",)
+
+    def test_no_observations_keep_no_rows(self, tmp_path):
+        records = synthetic_year_records("N1", 40.05, -75.0)
+        path = tmp_path / "t.csv"
+        write_temperature_csv(records, path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("N1,2021-13-01,40.05,-75.0,5.0,1.0\n")
+        kept = data_io.parse_temperature_csv(path, observations=[])
+        assert len(kept.records) == 0 and kept.records.station_ids == ()
+        assert kept.rejected == 1
+
+    def test_far_copies_add_no_rows(self, tmp_path):
+        records = [r for sid, lat, lon in NEAR_STATIONS for year in (2020, 2021)
+                   for r in synthetic_year_records(sid, lat, lon, year=year)]
+        obs = observations_at([(0, 2020), (0, 2021), (1, 2021)])
+        joined = data_io.build_analysis_rows(obs, from_records(records))
+        assert joined[1].n_rows == 3
+        sizes = []
+        for copies in (0, 1, 4):
+            far = [dataclasses.replace(r, station_id=f"{r.station_id}C{c}", latitude=r.latitude - 50)
+                   for c in range(copies) for r in records]
+            path = tmp_path / f"far{copies}.csv"
+            write_temperature_csv(records + far, path)
+            kept = data_io.parse_temperature_csv(path, observations=obs)
+            assert len(kept.records) == len(records)
+            assert data_io.build_analysis_rows(obs, kept.records) == joined
+            sizes.append(len(data_io.parse_temperature_csv(path).records))
+        assert sizes == [len(records), 2 * len(records), 5 * len(records)]
 
 
 class TestWriters:

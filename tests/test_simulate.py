@@ -269,7 +269,54 @@ PLAN_CASES = [
 PLAN_REPLICATES = simulate._CHUNK + 3
 
 
+# (first, later) block lengths of every bundled grid cell; none clips at base
+SIM1_PLANS = {
+    (2.0, 0.0, 1000.0): (949, 224), (2.0, 0.0, 2000.0): (1634, 317),
+    (2.0, 0.1, 1000.0): (155, 16), (2.0, 0.1, 2000.0): (208, 16),
+    (4.0, 0.0, 1000.0): (410, 80), (4.0, 0.0, 2000.0): (725, 112),
+    (4.0, 0.1, 1000.0): (136, 16), (4.0, 0.1, 2000.0): (190, 16),
+}
+SIM2_PLANS = {
+    (4.0, 0.2, 1000.0): (183, 16), (4.0, 0.2, 2000.0): (222, 16),
+    (4.0, 0.4, 1000.0): (159, 16), (4.0, 0.4, 2000.0): (186, 16),
+    (4.0, 0.8, 1000.0): (139, 16), (4.0, 0.8, 2000.0): (159, 16),
+    (8.0, 0.2, 1000.0): (150, 17), (8.0, 0.2, 2000.0): (192, 16),
+    (8.0, 0.4, 1000.0): (138, 16), (8.0, 0.4, 2000.0): (168, 16),
+    (8.0, 0.8, 1000.0): (127, 16), (8.0, 0.8, 2000.0): (149, 16),
+    (10.0, 0.2, 1000.0): (134, 17), (10.0, 0.2, 2000.0): (178, 16),
+    (10.0, 0.4, 1000.0): (129, 16), (10.0, 0.4, 2000.0): (159, 16),
+    (10.0, 0.8, 1000.0): (123, 16), (10.0, 0.8, 2000.0): (143, 16),
+}
+
+
 class TestBlockPlan:
+    def test_bundled_cells_keep_their_plans(self):
+        sigma, horizon = simulate.DEFAULT_SIGMA, simulate.DEFAULT_MAX_HORIZON
+        for (a, b, tau), plan in SIM1_PLANS.items():
+            assert simulate._block_plan(linear(a, b, sigma), tau, horizon) == plan
+        for (a, b, tau), plan in SIM2_PLANS.items():
+            assert simulate._block_plan(seasonal(a, b, sigma), tau, horizon) == plan
+
+    def test_clipped_paths_plan_from_the_clipped_mean(self):
+        # E[max(1 + eps, 0)] = 12.48 for eps ~ N(0, 30^2), so the mean path
+        # crosses 500 on day 41 (the trend alone: day 501, and an 1,844-day
+        # first block); this cell's golden hitting times are 37-68 days
+        assert simulate._block_plan(linear(1, 0, 30, clip_at_base=True), 500.0, 10_000) == (72, 16)
+        # two-point: (max(1 + 30, 0) + max(1 - 30, 0))/2 = 15.5, crossing on day 33
+        spec = linear(1, 0, 30, noise_law="two_point", clip_at_base=True)
+        assert simulate._block_plan(spec, 500.0, 10_000) == (56, 16)
+        # noiseless: max(mu, 0)
+        assert simulate._block_plan(linear(4, 0, 0, clip_at_base=True), 1000.0, 10_000) == (
+            251, simulate._MIN_BLOCK)
+        assert simulate._block_plan(linear(-1, 0, 0, clip_at_base=True), 500.0, 10_000) == (
+            simulate._MAX_BLOCK,) * 2
+
+    @pytest.mark.parametrize("mu", [-60.0, -5.0, 0.0, 1.0, 12.0, 90.0])
+    def test_clipped_gaussian_daily_mean(self, mu):
+        spec = linear(mu, 0, 20, clip_at_base=True)
+        expected = stats.norm(mu, 20).expect(lambda x: max(x, 0.0), lb=0.0)
+        assert simulate._daily_mean(spec, np.array([1.0]))[0] == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
     def test_first_block_ends_two_sd_past_the_mean_crossing(self):
         # mean path 4n crosses 1000 on day 251; s = 20*sqrt(251)/4 = 79.2
         assert simulate._block_plan(linear(4, 0, 20), 1000.0, 10_000) == (410, 80)
