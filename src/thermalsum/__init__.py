@@ -26,10 +26,7 @@ from .model import (
     approx_spring,
     approx_winter,
     crossing_time,
-    deterministic_cumsum,
     sensitivity,
-    spring_linearized,
-    spring_linearized_variance,
     theory_approx,
 )
 from .simulate import (
@@ -39,7 +36,6 @@ from .simulate import (
     ks_distance,
     run_grid,
     run_simulation_1,
-    simulate_hitting_time,
     simulate_hitting_times,
 )
 from .regimes import (
@@ -62,7 +58,6 @@ from .fitting import (
 from .data_io import (
     AnalysisRow,
     PhenologyObservation,
-    StationRecord,
     StationTable,
     build_analysis_rows,
     haversine_km,

@@ -1,13 +1,14 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
-Exit codes: 0 success, 1 check failure, 2 usage error or malformed input
-file, 3 missing data.
+Exit codes: 0 success, 1 check failure, 2 usage error or malformed or
+unreadable input file, 3 missing data.
 Outputs land under a run directory named by subcommand (plus seed for
 stochastic targets); reruns with the same seed and flags are byte-identical.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 import shutil
 import sys
@@ -24,6 +25,8 @@ PHENOLOGY_FILENAME = "lilac_phenology.csv"
 TEMPERATURE_FILENAME = "daily_temperatures.csv"
 DEFAULT_SPECIES = "common lilac"
 DEFAULT_PHENOPHASE = "full bloom"
+# quantile bins per axis of the lilac grid; a join needs at least this many rows
+_LILAC_BINS = 4
 
 
 @click.group()
@@ -48,7 +51,7 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
             m = model.crossing_time(params)
             click.echo(
                 f"regime=spring mean={a.mean:.6g} variance={a.variance:.6g} "
-                f"linearized_variance={a.linearized_variance:.6g} "
+                f"linearized_variance={model.theory_approx(params).variance:.6g} "
                 f"m_tau={m.m_tau:.6g} gamma={m.gamma:.6g}"
             )
             if a.short_horizon:
@@ -124,10 +127,10 @@ def reproduce(
     sim2: seasonal piecewise-trend mean/sd grid. walnut: two-stage WLS fit
     of the constant-forcing experiment. lilac-bins: quartile-binned bloom
     grids from pre-downloaded observational data (exits 3 without data or
-    when no observation joins a complete station-year; with --check and no
-    data, runs the synthetic binning pipeline instead).
+    when fewer than 4 observations join a complete station-year; with
+    --check and no data, runs the synthetic binning pipeline instead).
     Simulations run serially. Exit codes: 0 success, 1 check failure, 2 usage
-    error or malformed input file, 3 missing data.
+    error or malformed or unreadable input file, 3 missing data.
     """
     if replicates < 2:
         raise click.UsageError(f"--r must be >= 2, got {replicates}")
@@ -242,30 +245,33 @@ def _reproduce_lilac_bins(
         return
 
     # phenology first: the temperature parse keeps only the rows its join can read
+    path = phen_path
     try:
         observations = data_io.filter_phenology(
-            data_io.parse_phenology_csv(phen_path),
+            data_io.parse_phenology_csv(path),
             species=DEFAULT_SPECIES, phenophase=DEFAULT_PHENOPHASE,
         )
-        parsed = data_io.parse_temperature_csv(temp_path, units=units, observations=observations)
+        path = temp_path
+        parsed = data_io.parse_temperature_csv(path, units=units, observations=observations)
     except ThermalSumError as exc:
         raise click.UsageError(str(exc)) from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}") from None
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
     click.echo(
         f"lilac-bins: {diag.n_rows} rows from {diag.n_observations} observations "
         f"({diag.n_no_station} unmatched, {diag.n_insufficient} incomplete, "
         f"{parsed.rejected} rejected temperature rows)"
     )
-    if not rows:
-        click.echo(
-            "missing data: no observation joined a complete station-year "
-            "(see docs/DATA.md); nothing written"
-        )
+    if len(rows) < _LILAC_BINS:
+        why = (f"{len(rows)} joined rows are too few for {_LILAC_BINS} quantile bins" if rows
+               else "no observation joined a complete station-year")
+        click.echo(f"missing data: {why} (see docs/DATA.md); nothing written")
         sys.exit(3)
     run = _run_dir(out, "lilac-bins", None, force)
     data_io.write_analysis_rows(rows, run / "analysis_rows.csv")
     triples = [(r.alpha_hat, r.beta_hat, float(r.bloom_doy)) for r in rows]
-    grid = fitting.bin_location_scale(triples, k=4)
+    grid = fitting.bin_location_scale(triples, k=_LILAC_BINS)
     (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
     _write_lines(run / "grid.csv", fitting.grid_csv_rows(grid))
     click.echo(f"lilac-bins -> {run}")

@@ -41,18 +41,6 @@ PHENOLOGY_HEADER = ["site_id", "lat", "lon", "year", "bloom_doy", "species", "ph
 ANALYSIS_HEADER = ["site", "year", "alpha", "beta", "bloom_doy"]
 
 
-@dataclass(frozen=True, slots=True)
-class StationRecord:
-    """One station-day of raw temperatures; tmax/tmin may be missing."""
-
-    station_id: str
-    date: datetime.date
-    latitude: float
-    longitude: float
-    tmax: float | None
-    tmin: float | None
-
-
 @dataclass(frozen=True)
 class PhenologyObservation:
     """One recorded bloom event at an observation site."""
@@ -97,26 +85,6 @@ class StationTable:
 
     def __len__(self) -> int:
         return len(self.station)
-
-    @classmethod
-    def from_records(cls, records: Iterable[StationRecord]) -> "StationTable":
-        """The table of a sequence of rows, in their order; None reads as NaN."""
-        records = list(records)
-        codes: dict[str, int] = {}
-        station = [codes.setdefault(r.station_id, len(codes)) for r in records]
-
-        def floats(values: Iterable[float | None]) -> np.ndarray:
-            return np.array([math.nan if v is None else v for v in values], dtype=float)
-
-        return cls(
-            station_ids=tuple(codes),
-            station=np.array(station, dtype=np.intp),
-            day=np.array([r.date.toordinal() for r in records], dtype=np.int64),
-            latitude=floats(r.latitude for r in records),
-            longitude=floats(r.longitude for r in records),
-            tmax=floats(r.tmax for r in records),
-            tmin=floats(r.tmin for r in records),
-        )
 
     def _take(self, index: np.ndarray) -> "StationTable":
         """The rows at index, in that order, numbered over their own stations."""
@@ -165,9 +133,9 @@ def parse_temperature_csv(
     skipped. units="tenths" divides temperatures by 10 (raw GHCND convention).
 
     With observations given, records keeps only the accepted rows that
-    build_analysis_rows(observations, ...) can read at a max_km of at most
-    MATCH_CUTOFF_KM (see _JoinRows), so memory follows the kept rows; that
-    join's output and rejected are the same as without them.
+    build_analysis_rows(observations, ...) can read (see _JoinRows), so
+    memory follows the kept rows; that join's output and rejected are the
+    same as without them.
     """
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
@@ -199,9 +167,9 @@ def parse_temperature_csv(
             if len(columns[0]):
                 chunks.append(columns)
             rejected += n_rejected
-    if not chunks:
-        return ParseResult(records=StationTable.from_records(()), rejected=rejected)
-    table = StationTable(tuple(codes), *map(np.concatenate, zip(*chunks)))
+    # typed empty columns first, so a file with no kept row gives the empty table
+    empty = (np.empty(0, np.intp), np.empty(0, np.int64)) + (np.empty(0),) * 4
+    table = StationTable(tuple(codes), *map(np.concatenate, zip(empty, *chunks)))
     return ParseResult(records=table, rejected=rejected)
 
 
@@ -447,16 +415,14 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 def match_station(
-    site: PhenologyObservation,
-    stations: Mapping[str, tuple[float, float]],
-    max_km: float = MATCH_CUTOFF_KM,
+    site: PhenologyObservation, stations: Mapping[str, tuple[float, float]]
 ) -> str | None:
-    """Nearest station within max_km of the site, ties broken by station id."""
+    """Nearest station within MATCH_CUTOFF_KM of the site, ties broken by station id."""
     best: tuple[float, str] | None = None
     for sid in sorted(stations):
         lat, lon = stations[sid]
         d = haversine_km(site.latitude, site.longitude, lat, lon)
-        if d <= max_km and (best is None or d < best[0]):
+        if d <= MATCH_CUTOFF_KM and (best is None or d < best[0]):
             best = (d, sid)
     return None if best is None else best[1]
 
@@ -470,15 +436,13 @@ class JoinDiagnostics:
 
 
 def build_analysis_rows(
-    observations: Iterable[PhenologyObservation],
-    table: StationTable,
-    max_km: float = MATCH_CUTOFF_KM,
+    observations: Iterable[PhenologyObservation], table: StationTable
 ) -> tuple[list[AnalysisRow], JoinDiagnostics]:
     """Join observations to matched station-years with passing regime estimates.
 
-    An observation yields a row only when a station qualifies within max_km
-    and both estimation windows pass their completeness gates; everything
-    else is counted in the diagnostics. The table is sorted once by
+    An observation yields a row only when a station qualifies within
+    MATCH_CUTOFF_KM and both estimation windows pass their completeness
+    gates; everything else is counted in the diagnostics. The table is sorted once by
     (station, year), stably, so each midrange_series call gets exactly its
     station-year's rows in file order. A station's coordinates are those
     of its first row.
@@ -508,7 +472,7 @@ def build_analysis_rows(
         diag.n_observations += 1
         where = (obs.latitude, obs.longitude)
         if where not in matches:
-            matches[where] = match_station(obs, coords, max_km=max_km)
+            matches[where] = match_station(obs, coords)
         sid = matches[where]
         if sid is None:
             diag.n_no_station += 1

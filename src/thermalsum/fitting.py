@@ -176,9 +176,6 @@ class BinnedGrid:
     degenerate_alpha: bool
     degenerate_beta: bool
 
-    def n_total(self) -> int:
-        return int(self.counts.sum())
-
     def row_labels(self) -> list[str]:
         return _interval_labels(self.alpha_edges)
 

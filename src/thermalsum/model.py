@@ -54,6 +54,9 @@ class RegimeParams:
     tau: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "sigma", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
         if not self.beta >= 0:
@@ -90,33 +93,19 @@ class CrossingTime:
 class HittingTimeApprox:
     """Normal approximation for the hitting day: mean (days), variance (days^2).
 
-    linearized_variance is populated only for the spring regime and carries
-    the un-simplified form sigma^2 * m / (alpha + beta*m)^2 evaluated at the
-    exact crossing m = m(tau). short_horizon flags spring fits whose
-    deterministic crossing is under SHORT_HORIZON_DAYS, where the
-    large-threshold asymptotics are questionable.
+    short_horizon flags spring fits whose deterministic crossing is under
+    SHORT_HORIZON_DAYS, where the large-threshold asymptotics are
+    questionable.
     """
 
     mean: float
     variance: float
     regime: Regime
-    linearized_variance: float | None = None
     short_horizon: bool = False
 
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
-
-
-def deterministic_cumsum(params: RegimeParams, n: int) -> float:
-    """Noise-free cumulative degree-days after n whole days.
-
-    Equals alpha*n + (beta/2)*n*(n+1); reduces to alpha*n when beta == 0.
-    """
-    if n < 0 or n != int(n):
-        raise ParameterError(f"n must be a non-negative integer, got {n}")
-    n = int(n)
-    return params.alpha * n + 0.5 * params.beta * n * (n + 1)
 
 
 def crossing_time(params: RegimeParams) -> CrossingTime:
@@ -149,10 +138,8 @@ def approx_spring(params: RegimeParams) -> HittingTimeApprox:
     """Spring-regime normal approximation in its simplified large-threshold form.
 
     mean = sqrt(2 tau / beta) - gamma, variance = sigma^2 / (beta^(3/2) sqrt(2 tau)).
-    The companion linearized variance sigma^2 m / (alpha + beta m)^2 at the
-    exact crossing m(tau) is attached to the result. Raises
-    ApproximationDomainError when the simplified mean is non-positive (tau too
-    small relative to gamma for the asymptotics to say anything).
+    Raises ApproximationDomainError when the simplified mean is non-positive
+    (tau too small relative to gamma for the asymptotics to say anything).
     """
     if params.beta == 0:
         raise ParameterError("spring approximation requires beta > 0")
@@ -167,52 +154,28 @@ def approx_spring(params: RegimeParams) -> HittingTimeApprox:
     variance = params.sigma**2 / (params.beta**1.5 * math.sqrt(2.0 * params.tau))
     m = crossing_time(params).m_tau
     return HittingTimeApprox(
-        mean=mean,
-        variance=variance,
-        regime=Regime.SPRING,
-        linearized_variance=spring_linearized_variance(params),
-        short_horizon=m < SHORT_HORIZON_DAYS,
-    )
-
-
-def spring_linearized_variance(params: RegimeParams) -> float:
-    """Un-simplified spring variance sigma^2 m / (alpha + beta m)^2 at m = m(tau)."""
-    if params.beta == 0:
-        raise ParameterError("linearized spring variance requires beta > 0")
-    m = crossing_time(params).m_tau
-    return params.sigma**2 * m / (params.alpha + params.beta * m) ** 2
-
-
-def spring_linearized(params: RegimeParams) -> HittingTimeApprox:
-    """Spring-regime normal approximation centered at the exact crossing.
-
-    mean = m(tau), variance = sigma^2 m / (alpha + beta m)^2. This is the
-    form the CLT delivers before the large-threshold simplification, and is
-    the sharper of the two at moderate thresholds; standardized simulation
-    output is checked against it.
-    """
-    if params.beta == 0:
-        raise ParameterError("spring approximation requires beta > 0")
-    m = crossing_time(params).m_tau
-    return HittingTimeApprox(
-        mean=m,
-        variance=spring_linearized_variance(params),
-        regime=Regime.SPRING,
-        linearized_variance=spring_linearized_variance(params),
-        short_horizon=m < SHORT_HORIZON_DAYS,
+        mean=mean, variance=variance, regime=Regime.SPRING, short_horizon=m < SHORT_HORIZON_DAYS
     )
 
 
 def theory_approx(params: RegimeParams) -> HittingTimeApprox:
     """Normal approximation used to standardize simulated hitting times.
 
-    Winter: approx_winter. Spring: the linearized form (exact crossing mean,
-    linearized variance), which stays accurate at moderate thresholds where
-    the simplified display is already several days off.
+    Winter: approx_winter. Spring: the linearized form, mean m = m(tau) and
+    variance sigma^2 m / (alpha + beta m)^2 at the exact crossing. It is the
+    form the CLT delivers before the large-threshold simplification, and
+    stays accurate at moderate thresholds where the simplified display is
+    already several days off.
     """
     if params.beta == 0:
         return approx_winter(params)
-    return spring_linearized(params)
+    m = crossing_time(params).m_tau
+    return HittingTimeApprox(
+        mean=m,
+        variance=params.sigma**2 * m / (params.alpha + params.beta * m) ** 2,
+        regime=Regime.SPRING,
+        short_horizon=m < SHORT_HORIZON_DAYS,
+    )
 
 
 def sensitivity(params: RegimeParams, wrt: str) -> float:

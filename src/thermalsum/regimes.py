@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,25 +41,6 @@ class DailyTemperatureSeries:
                 f"series for {self.year} must have {n} values, got {len(self.values)}"
             )
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @classmethod
-    def from_day_values(
-        cls, site_id: str, year: int, day_values: Mapping[int, float]
-    ) -> "DailyTemperatureSeries":
-        """Build a series from a {day_of_year: value} mapping; other days missing."""
-        n = days_in_year(year)
-        values = np.full(n, np.nan)
-        for day, v in day_values.items():
-            if not 1 <= day <= n:
-                raise ParameterError(f"day {day} outside [1, {n}] for year {year}")
-            values[day - 1] = v
-        return cls(site_id=site_id, year=year, values=values)
-
-    @property
-    def completeness(self) -> float:
-        """Fraction of non-missing days over January-April."""
-        window = self.values[: beta_window(self.year).stop]
-        return float(np.mean(~np.isnan(window)))
 
 
 class AlphaEstimate(NamedTuple):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -305,22 +305,6 @@ def _first_passage(
     )
 
 
-def simulate_hitting_time(
-    spec: TemperatureProcessSpec,
-    tau: float,
-    rng: np.random.Generator,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
-) -> int:
-    """First day n with cumulative temperature strictly above tau.
-
-    Draws the path day by day (in blocks) from rng and returns the smallest n
-    with Z_n > tau, so Z_{n-1} <= tau < Z_n. Raises HorizonExceeded if the
-    path has not crossed by max_horizon (possible with clipping and low alpha).
-    """
-    plan = _block_plan(spec, tau, max_horizon)
-    return int(_first_passage(spec, tau, [rng], max_horizon, plan)[0])
-
-
 def simulate_hitting_times(
     spec: TemperatureProcessSpec,
     tau: float,
@@ -331,10 +315,12 @@ def simulate_hitting_times(
 ) -> np.ndarray:
     """Hitting times for `replicates` independent paths, in replicate order.
 
-    Replicate i is simulate_hitting_time on substream(seed, cell, i), so
-    identical (seed, cell) always yields identical output. Replicates are
-    drawn _CHUNK at a time from reused generators loaded with the substream
-    states, on one block plan for the cell; neither changes any output.
+    Replicate i is the first day n with Z_n > tau on the path drawn from
+    substream(seed, cell, i) alone, so identical (seed, cell) always yields
+    identical output. Replicates are drawn _CHUNK at a time from reused
+    generators loaded with the substream states, on one block plan for the
+    cell; neither changes any output. Raises HorizonExceeded if a path has
+    not crossed by max_horizon (possible with clipping and low alpha).
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
@@ -379,17 +365,16 @@ def verify_stopping(
             raise AssertionError(f"replicate {i}: Z_(nu-1)={z[nu-2]} not <= tau={tau}")
 
 
-def ks_distance(samples: Iterable[float], cdf: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-    """Sup-norm distance between the empirical CDF of samples and a reference CDF.
+def ks_distance(samples: Iterable[float]) -> float:
+    """Sup-norm distance between the empirical CDF of samples and the standard normal CDF.
 
-    The reference defaults to the standard normal CDF. Requires at least one
-    sample; the usual diagnostic use supplies two or more.
+    Requires at least one sample; the usual diagnostic use supplies two or more.
     """
     x = np.sort(np.asarray(list(samples), dtype=float))
     n = len(x)
     if n == 0:
         raise ParameterError("ks_distance requires a non-empty sample")
-    ref = model.normal_cdf(x) if cdf is None else np.asarray(cdf(x), dtype=float)
+    ref = model.normal_cdf(x)
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -522,11 +507,9 @@ def summary_csv_rows(grid: SimulationGrid) -> list[str]:
     return lines
 
 
-def histogram_csv_rows(
-    values: np.ndarray, lo: float = -5.0, hi: float = 5.0, bins: int = 40
-) -> list[str]:
-    """(bin_left,bin_right,count) CSV lines for plot-ready histograms."""
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=(lo, hi))
+def histogram_csv_rows(values: np.ndarray) -> list[str]:
+    """(bin_left,bin_right,count) CSV lines of 40 equal bins over [-5, 5], plot-ready."""
+    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=40, range=(-5.0, 5.0))
     lines = ["bin_left,bin_right,count"]
     for i, c in enumerate(counts):
         lines.append(f"{edges[i]:.6g},{edges[i + 1]:.6g},{int(c)}")

@@ -1,13 +1,49 @@
-"""Station records for tests: the CSV writer, the table-to-rows reader, and a
-per-row temperature parser that the columnar one is checked against."""
+"""Station records for tests: the row type, the CSV writer, the table built
+from rows and its reverse, and a per-row temperature parser that the
+columnar one is checked against."""
 
 import csv
 import datetime
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from thermalsum.data_io import TEMPERATURE_HEADER, StationRecord, StationTable
+import numpy as np
+
+from thermalsum.data_io import TEMPERATURE_HEADER, StationTable
+
+
+@dataclass(frozen=True, slots=True)
+class StationRecord:
+    """One station-day of raw temperatures; tmax/tmin may be missing."""
+
+    station_id: str
+    date: datetime.date
+    latitude: float
+    longitude: float
+    tmax: float | None
+    tmin: float | None
+
+
+def from_records(records: Iterable[StationRecord]) -> StationTable:
+    """The table of a sequence of rows, in their order; None reads as NaN."""
+    records = list(records)
+    codes: dict[str, int] = {}
+    station = [codes.setdefault(r.station_id, len(codes)) for r in records]
+
+    def floats(values: Iterable[float | None]) -> np.ndarray:
+        return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+    return StationTable(
+        station_ids=tuple(codes),
+        station=np.array(station, dtype=np.intp),
+        day=np.array([r.date.toordinal() for r in records], dtype=np.int64),
+        latitude=floats(r.latitude for r in records),
+        longitude=floats(r.longitude for r in records),
+        tmax=floats(r.tmax for r in records),
+        tmin=floats(r.tmin for r in records),
+    )
 
 
 def write_temperature_csv(records: Iterable[StationRecord], path: str | Path) -> None:

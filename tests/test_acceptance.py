@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from test_simulate import _two_point_exact
+from test_simulate import _two_point_exact, simulate_hitting_time
 from thermalsum import checks, fitting, model, reference, simulate
 from thermalsum.cli import main as cli_main
 
@@ -258,7 +258,7 @@ def test_criterion_8_binning_pipeline_on_synthetic_grid(sim2_grid):
     binned = fitting.bin_location_scale(
         triples, alpha_edges=(3.0, 6.0, 9.0, 11.0), beta_edges=(0.1, 0.3, 0.6, 0.9)
     )
-    assert binned.n_total() == 9 * grid.replicates
+    assert binned.counts.sum() == 9 * grid.replicates
     outcomes = checks.synthetic_binning_checks(binned)
     failures = [c for c in outcomes if not c.ok]
     detail = (
@@ -301,7 +301,7 @@ def test_criterion_9_substream_identity(target, sim1_grid, sim2_grid):
     for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
         spec = simulate.TemperatureProcessSpec(a, b, grid.sigma, breakpoint_day=breakpoint_day)
         for i in (0, r // 2, r - 1):
-            alone = simulate.simulate_hitting_time(
+            alone = simulate_hitting_time(
                 spec, tau, simulate.substream(ACCEPTANCE_SEED, cell, i)
             )
             if grid.cells[(a, b, tau)].hitting_times[i] != alone:

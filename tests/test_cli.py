@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from station_csv import write_temperature_csv
+from station_csv import StationRecord, write_temperature_csv
 import thermalsum
-from thermalsum import data_io, regimes
+from thermalsum import regimes
 from thermalsum.cli import main
 
 
@@ -20,6 +20,44 @@ def runner():
 
 
 class TestApprox:
+    @pytest.mark.parametrize(
+        "args, lines",
+        [
+            (["--alpha", "4", "--beta", "0.8", "--tau", "2000", "--sigma", "20"],
+             ["regime=spring mean=65.2107 variance=8.83883 linearized_variance=8.24469 "
+              "m_tau=65.4243 gamma=5.5"]),
+            (["--alpha", "4", "--beta", "0.8", "--tau", "100"],
+             ["regime=spring mean=10.3114 variance=0 linearized_variance=0 "
+              "m_tau=11.2407 gamma=5.5",
+              "warning: deterministic crossing under 30 days; large-threshold "
+              "approximation is questionable here"]),
+            (["--alpha", "4", "--tau", "1000", "--sigma", "20"],
+             ["regime=winter mean=250 variance=6250"]),
+        ],
+        ids=["spring", "spring_short_horizon", "winter"],
+    )
+    def test_output_lines(self, runner, args, lines):
+        result = runner.invoke(main, ["approx"] + args)
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["--alpha", "4", "--tau", "inf"], "tau"),
+            (["--alpha", "inf", "--tau", "10"], "alpha"),
+            (["--alpha", "4", "--beta", "0.5", "--tau", "inf"], "tau"),
+            (["--alpha", "4", "--beta", "inf", "--tau", "10"], "beta"),
+            (["--alpha", "4", "--sigma", "inf", "--tau", "10"], "sigma"),
+            (["--alpha", "4", "--sigma", "nan", "--tau", "10"], "sigma"),
+        ],
+        ids=["winter_tau_inf", "alpha_inf", "spring_tau_inf", "beta_inf", "sigma_inf", "sigma_nan"],
+    )
+    def test_non_finite_parameter_exits_2(self, runner, args, field):
+        result = runner.invoke(main, ["approx"] + args)
+        assert result.exit_code == 2, result.output
+        assert f"{field} must be finite" in result.output
+
     def test_winter_output(self, runner):
         result = runner.invoke(
             main, ["approx", "--alpha", "4", "--beta", "0", "--tau", "1000", "--sigma", "20"]
@@ -186,7 +224,7 @@ def _write_lilac_fixture(root):
                 day = datetime.date(year, 1, 1) + datetime.timedelta(days=doy - 1)
                 mid = alpha if doy <= aw_stop else alpha + 0.2 * (doy - bw.start)
                 records.append(
-                    data_io.StationRecord(sid, day, lat, -75.0, mid + 1.0, mid - 1.0)
+                    StationRecord(sid, day, lat, -75.0, mid + 1.0, mid - 1.0)
                 )
     write_temperature_csv(records, root / "daily_temperatures.csv")
     lines = ["site_id,lat,lon,year,bloom_doy,species,phenophase"]
@@ -294,6 +332,63 @@ class TestReproduceLilacBins:
         assert result.exit_code == 3, result.output
         assert "0 rows from 1 observations (1 unmatched" in result.output
         assert "no observation joined a complete station-year" in result.output
+        assert not (tmp_path / "runs").exists()
+
+    def test_too_few_joined_rows_exit_3_and_keep_earlier_run(self, runner, tmp_path):
+        # two joined rows cannot fill 4 quantile bins: a forced rerun must
+        # neither write a partial run nor delete the earlier complete one
+        _write_lilac_fixture(tmp_path / "data")
+        args = ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+                "--data-dir", str(tmp_path / "data")]
+        assert runner.invoke(main, args).exit_code == 0
+        run = tmp_path / "runs" / "lilac-bins"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        phenology = tmp_path / "data" / "lilac_phenology.csv"
+        lines = phenology.read_text(encoding="utf-8").splitlines()
+        phenology.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, args + ["--force"])
+        assert result.exit_code == 3, result.output
+        assert "2 rows from 2 observations" in result.output
+        assert "missing data: 2 joined rows are too few for 4 quantile bins" in result.output
+        assert "Usage:" not in result.output
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "filename, damage",
+        [
+            ("lilac_phenology.csv", "byte_e9"),
+            ("daily_temperatures.csv", "byte_e9"),
+            ("lilac_phenology.csv", "directory"),
+            ("daily_temperatures.csv", "directory"),
+            ("daily_temperatures.csv", "long_field"),
+            ("lilac_phenology.csv", "long_field"),
+        ],
+        ids=["phenology_byte_e9", "temperature_byte_e9", "phenology_directory",
+             "temperature_directory", "temperature_long_field", "phenology_long_field"],
+    )
+    def test_unreadable_input_exits_2_without_run_dir(self, runner, tmp_path, filename, damage):
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / filename
+        if damage == "byte_e9":
+            data = path.read_bytes()
+            start = data.index(b"\n") + 1  # the first row after the header
+            path.write_bytes(data[:start] + b"\xe9" + data[start:])
+        elif damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            # past the csv module's 131,072-character field limit
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[1] = "X" * 200_000 + lines[1]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot read {path}" in result.output
         assert not (tmp_path / "runs").exists()
 
     def test_check_without_data_requires_seed(self, runner, tmp_path):

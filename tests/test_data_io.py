@@ -9,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from station_csv import parse_temperature_rows, temperature_line, to_records, write_temperature_csv
+from station_csv import (
+    StationRecord,
+    from_records,
+    parse_temperature_rows,
+    temperature_line,
+    to_records,
+    write_temperature_csv,
+)
 from thermalsum import data_io, regimes
 from thermalsum.errors import EmptyFile, MissingHeader, ParameterError
 
 HEADER = "station_id,date,lat,lon,tmax,tmin"
-from_records = data_io.StationTable.from_records
 
 
 def write(tmp_path, name, text):
@@ -128,8 +134,8 @@ class TestParseTemperatureCsv:
 
     def test_round_trip_identity(self, tmp_path):
         records = [
-            data_io.StationRecord("S1", datetime.date(2021, 1, 1), 40.25, -75.5, 5.125, -3.0),
-            data_io.StationRecord("S2", datetime.date(2020, 2, 29), -12.0, 130.0, None, 1.5),
+            StationRecord("S1", datetime.date(2021, 1, 1), 40.25, -75.5, 5.125, -3.0),
+            StationRecord("S2", datetime.date(2020, 2, 29), -12.0, 130.0, None, 1.5),
         ]
         path = tmp_path / "out.csv"
         write_temperature_csv(records, path)
@@ -148,7 +154,7 @@ def station_records(draw):
     tmax, tmin = draw(_tenths), draw(_tenths)
     if tmax is not None and tmin is not None and tmax < tmin:
         tmax, tmin = tmin, tmax
-    return data_io.StationRecord(
+    return StationRecord(
         station_id=draw(st.text(alphabet="ABCUS019:", min_size=1, max_size=8)),
         date=draw(st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 12, 31))),
         latitude=draw(st.integers(-90_000, 90_000)) / 1000,
@@ -227,9 +233,9 @@ def test_columnar_parse_equals_row_oracle(tmp_path_factory, rows, chunks, extra,
 class TestMidrangeSeries:
     def records(self):
         return from_records([
-            data_io.StationRecord("S1", datetime.date(2021, 1, 1), 40, -75, 10.0, 0.0),
-            data_io.StationRecord("S1", datetime.date(2021, 1, 2), 40, -75, None, 0.0),
-            data_io.StationRecord("S2", datetime.date(2021, 1, 1), 41, -74, 8.0, 2.0),
+            StationRecord("S1", datetime.date(2021, 1, 1), 40, -75, 10.0, 0.0),
+            StationRecord("S1", datetime.date(2021, 1, 2), 40, -75, None, 0.0),
+            StationRecord("S2", datetime.date(2021, 1, 1), 41, -74, 8.0, 2.0),
         ])
 
     def test_midrange_value(self):
@@ -246,7 +252,7 @@ class TestMidrangeSeries:
         assert np.isnan(series.values[1])
 
     def test_leap_day_lands_on_day_60(self):
-        recs = [data_io.StationRecord("S1", datetime.date(2020, 2, 29), 40, -75, 4.0, 2.0)]
+        recs = [StationRecord("S1", datetime.date(2020, 2, 29), 40, -75, 4.0, 2.0)]
         series = data_io.midrange_series(from_records(recs), "S1", 2020)
         assert series.values[59] == pytest.approx(3.0)
         assert len(series.values) == 366
@@ -254,10 +260,10 @@ class TestMidrangeSeries:
     def test_last_complete_reading_wins(self):
         day = datetime.date(2021, 1, 1)
         recs = [
-            data_io.StationRecord("S1", day, 40, -75, 10.0, 0.0),
-            data_io.StationRecord("S1", day, 40, -75, 12.0, 2.0),
-            data_io.StationRecord("S2", day, 40, -75, 20.0, 2.0),
-            data_io.StationRecord("S1", day, 40, -75, None, 4.0),
+            StationRecord("S1", day, 40, -75, 10.0, 0.0),
+            StationRecord("S1", day, 40, -75, 12.0, 2.0),
+            StationRecord("S2", day, 40, -75, 20.0, 2.0),
+            StationRecord("S1", day, 40, -75, None, 4.0),
         ] * 3
         series = data_io.midrange_series(from_records(recs), "S1", 2021)
         assert series.values[0] == 7.0
@@ -274,7 +280,7 @@ def test_windows_cover_their_calendar_months(year):
     days = [datetime.date(year, 1, 1) + datetime.timedelta(k) for k in range(regimes.days_in_year(year))]
     stamp = [100.0 * d.month + d.day for d in days]  # midrange = month * 100 + day
     table = from_records(
-        data_io.StationRecord("S1", d, 40, -75, v, v) for d, v in zip(days, stamp)
+        StationRecord("S1", d, 40, -75, v, v) for d, v in zip(days, stamp)
     )
     values = data_io.midrange_series(table, "S1", year).values
     alpha_window = regimes.alpha_window(year)
@@ -344,7 +350,7 @@ def synthetic_year_records(station_id, lat, lon, year=2021, alpha=3.0, beta=0.25
         day = datetime.date(year, 1, 1) + datetime.timedelta(days=doy - 1)
         mid = alpha if doy <= aw_stop else alpha + beta * (doy - bw.start)
         records.append(
-            data_io.StationRecord(station_id, day, lat, lon, mid + 2.0, mid - 2.0)
+            StationRecord(station_id, day, lat, lon, mid + 2.0, mid - 2.0)
         )
     return records
 
@@ -541,7 +547,7 @@ def join_archives(draw):
                 records += [r for k, r in enumerate(rows) if k not in gaps]
         for day in draw(st.lists(st.dates(datetime.date(2019, 1, 1), datetime.date(2022, 12, 31)),
                                  max_size=12)):
-            records.append(data_io.StationRecord(sid, day, lat, lon, 20.0, 10.0))
+            records.append(StationRecord(sid, day, lat, lon, 20.0, 10.0))
     first, later = draw(st.permutations([(40.01, -75.0), (44.0, -75.0)]))
     records += synthetic_year_records("M", *later, year=draw(st.sampled_from([2020, 2021])))
     again = draw(st.lists(st.sampled_from(records), max_size=10)) if records else []
@@ -550,7 +556,7 @@ def join_archives(draw):
     lines += ["N1,2020-02-30,40.05,-75.0,5.0,1.0", "F1,2021-03-01,45.0,-75.0,1.0,5.0",
               "N2,2021-03-02,95.0,-75.1,5.0,1.0", ",2020-03-01,40.0,-75.0,5.0,1.0"]
     draw(st.randoms(use_true_random=False)).shuffle(lines)
-    moved = data_io.StationRecord("M", datetime.date(2019, 6, 15), *first, 25.0, 15.0)
+    moved = StationRecord("M", datetime.date(2019, 6, 15), *first, 25.0, 15.0)
     # a rejected row of M comes first, at the later place
     head = [f"M,2019-06-14,{later[0]},{later[1]},1.0,5.0", temperature_line(moved)]
     return head + lines
@@ -583,7 +589,7 @@ class TestJoinFilter:
         return data_io.parse_temperature_csv(path, observations=obs)
 
     def test_keeps_the_windows_of_observed_years_and_first_rows(self, tmp_path):
-        leap = [data_io.StationRecord("N1", datetime.date(2020, m, d), 40.05, -75.0, 5.0, 1.0)
+        leap = [StationRecord("N1", datetime.date(2020, m, d), 40.05, -75.0, 5.0, 1.0)
                 for m, d in ((6, 1), (1, 1), (4, 29), (4, 30), (5, 1), (12, 31))]
         other = dataclasses.replace(leap[1], date=datetime.date(2021, 1, 1))
         kept = self.parse(tmp_path, leap + [other], observations_at([(0, 2020)]))
@@ -597,7 +603,7 @@ class TestJoinFilter:
         # a station 16.5 km from the site, beyond the cutoff, is kept; one at
         # 17.5 km is not
         records = [
-            data_io.StationRecord(sid, datetime.date(2021, 2, 1), 40.0 + km / 111.195, -75.0, 5.0, 1.0)
+            StationRecord(sid, datetime.date(2021, 2, 1), 40.0 + km / 111.195, -75.0, 5.0, 1.0)
             for sid, km in (("A", 16.5), ("B", 17.5))
         ]
         kept = self.parse(tmp_path, records, observations_at([(0, 2021)]))

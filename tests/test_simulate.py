@@ -18,6 +18,13 @@ def seasonal(alpha, beta, sigma):
     )
 
 
+def simulate_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORIZON):
+    # the engine on one path: _first_passage on one generator, with the
+    # block plan of the path's cell
+    plan = simulate._block_plan(spec, tau, max_horizon)
+    return int(simulate._first_passage(spec, tau, [rng], max_horizon, plan)[0])
+
+
 class TestTemperatureProcessSpec:
     def test_rejects_bad_fields(self):
         with pytest.raises(ParameterError):
@@ -58,15 +65,15 @@ class TestSimulateHittingTime:
     def test_noiseless_strict_inequality(self):
         # Z_250 = 1000 is not > 1000, so the crossing lands on day 251
         rng = np.random.default_rng(0)
-        assert simulate.simulate_hitting_time(linear(4, 0, 0), 1000.0, rng) == 251
+        assert simulate_hitting_time(linear(4, 0, 0), 1000.0, rng) == 251
 
     def test_noiseless_plain_crossing(self):
         rng = np.random.default_rng(0)
-        assert simulate.simulate_hitting_time(linear(4, 0, 0), 999.9, rng) == 250
+        assert simulate_hitting_time(linear(4, 0, 0), 999.9, rng) == 250
 
     def test_rejects_non_positive_tau(self):
         with pytest.raises(ParameterError):
-            simulate.simulate_hitting_time(linear(4, 0, 0), 0.0, np.random.default_rng(0))
+            simulate_hitting_time(linear(4, 0, 0), 0.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_tau(self, tau):
@@ -75,11 +82,11 @@ class TestSimulateHittingTime:
         with pytest.raises(ParameterError, match="tau must be finite"):
             simulate.simulate_hitting_times(linear(4, 0, 20), tau, 3, seed=1)
         with pytest.raises(ParameterError, match="tau must be finite"):
-            simulate.simulate_hitting_time(linear(4, 0, 20), tau, np.random.default_rng(0))
+            simulate_hitting_time(linear(4, 0, 20), tau, np.random.default_rng(0))
 
     def test_horizon_exceeded(self):
         with pytest.raises(HorizonExceeded):
-            simulate.simulate_hitting_time(
+            simulate_hitting_time(
                 linear(0.01, 0, 0), 1000.0, np.random.default_rng(0), max_horizon=100
             )
 
@@ -161,7 +168,7 @@ class TestBatchProperties:
         spec = seasonal(4, 0.4, 20)
         times = simulate.simulate_hitting_times(spec, 1000.0, simulate._SLAB + 1, seed=9, cell=3)
         for i in (0, 200, simulate._SLAB - 1, simulate._SLAB):
-            alone = simulate.simulate_hitting_time(spec, 1000.0, simulate.substream(9, 3, i))
+            alone = simulate_hitting_time(spec, 1000.0, simulate.substream(9, 3, i))
             assert times[i] == alone, f"replicate {i}"
 
     @pytest.mark.parametrize(
@@ -231,7 +238,7 @@ class TestBatchProperties:
         chunk = simulate._CHUNK
         times = simulate.simulate_hitting_times(spec, 2000.0, 2 * chunk + 1, seed=4, cell=1)
         for i in (chunk - 1, chunk, chunk + 1, 2 * chunk):
-            alone = simulate.simulate_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
+            alone = simulate_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
             assert times[i] == alone, f"replicate {i}"
         loop = [_one_path_hitting_time(spec, 2000.0, simulate.substream(4, 1, i))
                 for i in range(2 * chunk + 1)]
@@ -428,12 +435,6 @@ class TestKsDistance:
         ours = simulate.ks_distance(samples)
         oracle = stats.kstest(samples, "norm").statistic
         assert ours == pytest.approx(oracle, rel=1e-12)
-
-    def test_custom_reference_cdf(self):
-        rng = np.random.default_rng(4)
-        samples = rng.uniform(0, 1, size=400)
-        d = simulate.ks_distance(samples, cdf=lambda x: np.clip(x, 0, 1))
-        assert d < 0.1
 
 
 class TestRunSimulation1:
