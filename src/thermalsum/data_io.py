@@ -167,9 +167,9 @@ def parse_temperature_csv(
             if len(columns[0]):
                 chunks.append(columns)
             rejected += n_rejected
-    # typed empty columns first, so a file with no kept row gives the empty table
-    empty = (np.empty(0, np.intp), np.empty(0, np.int64)) + (np.empty(0),) * 4
-    table = StationTable(tuple(codes), *map(np.concatenate, zip(empty, *chunks)))
+    if not chunks:  # no kept row: one chunk of typed empty columns
+        chunks.append((np.empty(0, np.intp), np.empty(0, np.int64)) + (np.empty(0),) * 4)
+    table = StationTable(tuple(codes), *map(np.concatenate, zip(*chunks)))
     return ParseResult(records=table, rejected=rejected)
 
 
