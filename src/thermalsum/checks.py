@@ -1,12 +1,15 @@
-"""Tolerance checks for the reproduction targets, shared by the CLI and tests.
+"""Gates for the reproduction targets, shared by the CLI and tests.
 
-Each builder returns Check records; a target passes when every record's ok
-flag is set. Tolerances live in reference.py next to the expected values.
+Each builder returns Check records. A check passes when `value rule bound`
+holds, rule being one of <, <=, > and >=; a NaN value fails under every rule.
+Every bound, and every cell or bin edge a gate reads, lives in reference.py.
+`reproduce --check` prints `CHECK PASS|FAIL <name>: <value> <rule> bound <bound> (<note>)`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,46 +19,56 @@ from . import model, reference
 from .fitting import BinnedGrid, WinterFit
 from .simulate import SIM2_ALPHAS, SIM2_BETAS, SimulationGrid, SimulationResult
 
+_RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 
 @dataclass(frozen=True)
 class Check:
+    """One gate: it passes when `value rule bound` holds."""
+
     name: str
-    ok: bool
-    detail: str
+    value: float
+    rule: str
+    bound: float
+    note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return bool(_RULES[self.rule](self.value, self.bound))
+
+    @property
+    def detail(self) -> str:
+        note = f" ({self.note})" if self.note else ""
+        return f"{self.value:.4g} {self.rule} bound {self.bound:.4g}{note}"
+
+
+def _ks(cell: SimulationResult) -> float:
+    return math.nan if cell.ks is None else cell.ks
+
+
+def _largest(values) -> float:
+    """np.max, which keeps a NaN where the builtin max may drop it; NaN when empty."""
+    return float(np.max(values)) if len(values) else math.nan
+
+
+def _absolute(name: str, got: float, expected: float, bound: float, why: str = "") -> Check:
+    return Check(name, abs(got - expected), "<", bound, f"|{got:.2f} - {expected:.2f}|{why}")
+
+
+def _relative(name: str, got: float, expected: float, bound: float) -> Check:
+    return Check(name, abs(got / expected - 1.0), "<", bound, f"|{got:.2f}/{expected:.2f} - 1|")
 
 
 def sim2_mean_checks(grid: SimulationGrid) -> list[Check]:
-    out = []
-    for key in sorted(reference.SIM2_MEANS):
-        a, b, tau = key
-        expected = reference.SIM2_MEANS[key]
-        got = grid.mean(a, b, tau)
-        diff = abs(got - expected)
-        out.append(
-            Check(
-                name=f"sim2 mean a={a:g} b={b:g} tau={tau:g}",
-                ok=diff < reference.SIM2_MEAN_TOL_DAYS,
-                detail=f"{got:.2f} vs {expected:.2f} (|diff| {diff:.3f} < {reference.SIM2_MEAN_TOL_DAYS})",
-            )
-        )
-    return out
+    return [_absolute(f"sim2 mean a={a:g} b={b:g} tau={tau:g}", grid.mean(a, b, tau), expected,
+                      reference.SIM2_MEAN_TOL_DAYS)
+            for (a, b, tau), expected in sorted(reference.SIM2_MEANS.items())]
 
 
 def sim2_sd_checks(grid: SimulationGrid) -> list[Check]:
-    out = []
-    for key in sorted(reference.SIM2_SDS):
-        a, b, tau = key
-        expected = reference.SIM2_SDS[key]
-        got = grid.sd(a, b, tau)
-        rel = abs(got / expected - 1.0)
-        out.append(
-            Check(
-                name=f"sim2 sd a={a:g} b={b:g} tau={tau:g}",
-                ok=rel < reference.SIM2_SD_REL_TOL,
-                detail=f"{got:.2f} vs {expected:.2f} (rel {rel:.3%} < {reference.SIM2_SD_REL_TOL:.0%})",
-            )
-        )
-    return out
+    return [_relative(f"sim2 sd a={a:g} b={b:g} tau={tau:g}", grid.sd(a, b, tau), expected,
+                      reference.SIM2_SD_REL_TOL)
+            for (a, b, tau), expected in sorted(reference.SIM2_SDS.items())]
 
 
 def _ladder_overshoot_mean(alpha: float, sigma: float) -> float:
@@ -133,23 +146,14 @@ def sim1_ks_checks(grid: SimulationGrid) -> list[Check]:
     SIM1_KS_DKW_LEVEL for the cell's R replicates.
     """
     out = []
-    for key in sorted(grid.cells):
-        a, b, tau = key
-        res = grid.cells[key]
-        ks = res.ks
-        bound, why = reference.SIM1_KS_BOUND, ""
-        if ks is not None and b == 0:
+    for (a, b, tau), cell in sorted(grid.cells.items()):
+        bound, note = reference.SIM1_KS_BOUND, "" if cell.ks is not None else "no z values"
+        if cell.ks is not None and b == 0:
             gap = _normal_ig_gap(a, grid.sigma, tau)
-            eps = math.sqrt(math.log(2.0 / reference.SIM1_KS_DKW_LEVEL) / (2 * res.replicate_count))
+            eps = math.sqrt(math.log(2.0 / reference.SIM1_KS_DKW_LEVEL) / (2 * cell.replicate_count))
             bound = max(bound, gap + eps)
-            why = f" (max({reference.SIM1_KS_BOUND}, IG gap {gap:.4f} + DKW {eps:.4f}))"
-        out.append(
-            Check(
-                name=f"sim1 ks a={a:g} b={b:g} tau={tau:g}",
-                ok=ks is not None and ks < bound,
-                detail=f"KS {ks:.4f} < bound {bound:.4f}{why}" if ks is not None else "no z values",
-            )
-        )
+            note = f"max({reference.SIM1_KS_BOUND}, IG gap {gap:.4f} + DKW {eps:.4f})"
+        out.append(Check(f"sim1 ks a={a:g} b={b:g} tau={tau:g}", _ks(cell), "<", bound, note))
     return out
 
 
@@ -158,86 +162,50 @@ def sim1_improvement_check(grid: SimulationGrid) -> Check:
 
     The winter normal law errs by the inverse-Gaussian skewness
     3*sigma/sqrt(alpha*tau), which shrinks with tau, so every beta == 0 pair
-    must show KS(tau_max) < KS(tau_min). Spring pairs are listed but not
-    counted: their sd shrinks with tau while hitting days stay on the
-    whole-day grid, so their KS need not fall; sim1_ks_checks bounds them at
-    every tau.
+    must show KS(tau_max) - KS(tau_min) < 0. Spring pairs are listed, not
+    counted: their sd shrinks with tau while hitting days stay whole, so
+    their KS need not fall; sim1_ks_checks bounds them at every tau.
     """
     taus = sorted(grid.taus)
-    improved, pairs = 0, 0
-    winter, spring = [], []
+    steps, winter, spring = [], [], []
     for a, b in product(grid.alphas, grid.betas):
-        lo = grid.cells[(a, b, taus[0])].ks
-        hi = grid.cells[(a, b, taus[-1])].ks
-        if lo is None or hi is None:
-            continue
-        line = f"a={a:g},b={b:g}: {lo:.4f}->{hi:.4f}"
+        lo, hi = _ks(grid.cells[(a, b, taus[0])]), _ks(grid.cells[(a, b, taus[-1])])
+        (winter if b == 0 else spring).append(f"a={a:g},b={b:g}: {lo:.4f}->{hi:.4f}")
         if b == 0:
-            pairs += 1
-            improved += hi < lo
-            winter.append(line)
-        else:
-            spring.append(line)
-    return Check(
-        name="sim1 ks improves with tau",
-        ok=pairs > 0 and improved == pairs,
-        detail=(
-            f"{improved}/{pairs} winter pairs strictly improved ({'; '.join(winter)}); "
-            f"spring, not counted ({'; '.join(spring)})"
-        ),
-    )
+            steps.append(hi - lo)
+    return Check("sim1 ks improves with tau", _largest(steps), "<", 0.0,
+                 f"largest winter KS step; {'; '.join(winter)}; "
+                 f"spring, not counted: {'; '.join(spring)}")
 
 
-def winter_agreement_checks(result: SimulationResult, tau: float, alpha: float,
-                            sigma: float) -> list[Check]:
-    """Winter mean/variance laws vs replicate statistics.
+def winter_agreement_checks(grid: SimulationGrid) -> list[Check]:
+    """Winter mean/variance laws vs the replicate statistics of reference.WINTER_CELL.
 
     Wald's identity gives E[nu] = (tau + E[R])/alpha exactly, R being the
     overshoot of the strict first passage; the mean target uses the limiting
     overshoot E[R_inf] and a tolerance of WINTER_MEAN_TOL_SE standard errors
     sqrt(sigma^2 tau/alpha^3 / R).
     """
-    overshoot = _ladder_overshoot_mean(alpha, sigma)
+    alpha, _, tau = reference.WINTER_CELL
+    cell = grid.cells[reference.WINTER_CELL]
+    overshoot = _ladder_overshoot_mean(alpha, grid.sigma)
     mean_target = (tau + overshoot) / alpha
-    var_target = sigma**2 * tau / alpha**3
-    mean_tol = reference.WINTER_MEAN_TOL_SE * math.sqrt(var_target / result.replicate_count)
-    mean_diff = abs(result.mean - mean_target)
-    var_rel = abs(result.sd**2 / var_target - 1.0)
+    var_target = grid.sigma**2 * tau / alpha**3
+    se = math.sqrt(var_target / cell.replicate_count)
     return [
-        Check(
-            name="winter mean agreement",
-            ok=mean_diff < mean_tol,
-            detail=(
-                f"sample mean {result.mean:.2f} vs (tau + E[R_inf])/alpha = {mean_target:.2f} "
-                f"with E[R_inf] = {overshoot:.2f} degree-days "
-                f"(|diff| {mean_diff:.3f} < {mean_tol:.3f} = "
-                f"{reference.WINTER_MEAN_TOL_SE:g} SE)"
-            ),
-        ),
-        Check(
-            name="winter variance agreement",
-            ok=var_rel < reference.WINTER_VARIANCE_REL_TOL,
-            detail=f"sample var/{var_target:.0f} = {result.sd**2 / var_target:.4f} "
-            f"(rel {var_rel:.3%} < {reference.WINTER_VARIANCE_REL_TOL:.0%})",
-        ),
+        _absolute("winter mean agreement", cell.mean, mean_target, reference.WINTER_MEAN_TOL_SE * se,
+                  f", target (tau + E[R_inf])/alpha, E[R_inf] {overshoot:.2f}; SE {se:.3f}"),
+        _relative("winter variance agreement", cell.sd**2, var_target,
+                  reference.WINTER_VARIANCE_REL_TOL),
     ]
 
 
 def walnut_checks(fit: WinterFit) -> list[Check]:
-    means_dec = all(
-        fit.fitted_means[i] > fit.fitted_means[i + 1] for i in range(len(fit.fitted_means) - 1)
-    )
-    sds_dec = all(
-        fit.fitted_sds[i] > fit.fitted_sds[i + 1] for i in range(len(fit.fitted_sds) - 1)
-    )
-    return [
-        Check("walnut fitted means strictly decreasing", means_dec,
-              "fitted means " + ", ".join(f"{m:.2f}" for m in fit.fitted_means)),
-        Check("walnut fitted sds strictly decreasing", sds_dec,
-              "fitted sds " + ", ".join(f"{s:.2f}" for s in fit.fitted_sds)),
-        Check("walnut weighted R^2 >= 0.95", fit.r_squared_weighted >= 0.95,
-              f"weighted R^2 {fit.r_squared_weighted:.4f}"),
-    ]
+    out = [Check(f"walnut fitted {what} strictly decreasing", _largest(np.diff(fitted)), "<", 0.0,
+                 f"largest step; fitted {what} " + ", ".join(f"{v:.2f}" for v in fitted))
+           for what, fitted in (("means", fit.fitted_means), ("sds", fit.fitted_sds))]
+    return out + [Check(f"walnut weighted R^2 >= {reference.WALNUT_R2_MIN:g}",
+                        fit.r_squared_weighted, ">=", reference.WALNUT_R2_MIN, "weighted R^2")]
 
 
 def lilac_grid_checks(grid: BinnedGrid) -> list[Check]:
@@ -247,41 +215,27 @@ def lilac_grid_checks(grid: BinnedGrid) -> list[Check]:
     The column pattern is checked net (bottom row vs top row), matching the
     published grids, which are not monotone step by step.
     """
-    out = []
-    means = np.asarray(reference.LILAC_MEAN_BINS)
-    sds = np.asarray(reference.LILAC_SD_BINS)
-    mean_worst = float(np.nanmax(np.abs(grid.means - means)))
-    sd_worst = float(np.nanmax(np.abs(grid.sds - sds)))
-    out.append(Check("lilac bin means within tolerance",
-                     mean_worst <= reference.LILAC_MEAN_TOL_DAYS,
-                     f"worst |diff| {mean_worst:.2f} <= {reference.LILAC_MEAN_TOL_DAYS}"))
-    out.append(Check("lilac bin sds within tolerance",
-                     sd_worst <= reference.LILAC_SD_TOL_DAYS,
-                     f"worst |diff| {sd_worst:.2f} <= {reference.LILAC_SD_TOL_DAYS}"))
-    col_up = all(grid.sds[-1, j] > grid.sds[0, j] for j in range(grid.sds.shape[1]))
-    row_down = all(grid.sds[-1, j] > grid.sds[-1, j + 1] for j in range(grid.sds.shape[1] - 1))
-    out.append(Check("lilac sd pattern", col_up and row_down,
-                     "sd rises down each beta column (net) and falls across the top-alpha row"))
-    return out
+    mean_worst = float(np.nanmax(np.abs(grid.means - np.asarray(reference.LILAC_MEAN_BINS))))
+    sd_worst = float(np.nanmax(np.abs(grid.sds - np.asarray(reference.LILAC_SD_BINS))))
+    sds = grid.sds  # sd rises down each beta column (net) and falls across the top-alpha row
+    margins = np.concatenate([sds[-1] - sds[0], sds[-1, :-1] - sds[-1, 1:]])
+    return [
+        Check("lilac bin means within tolerance", mean_worst, "<=", reference.LILAC_MEAN_TOL_DAYS,
+              "worst |diff|"),
+        Check("lilac bin sds within tolerance", sd_worst, "<=", reference.LILAC_SD_TOL_DAYS,
+              "worst |diff|"),
+        Check("lilac sd pattern", float(np.min(margins)), ">", 0.0,
+              "smallest net sd rise down a beta column or fall across the top-alpha row"),
+    ]
 
 
 def synthetic_binning_checks(grid: BinnedGrid) -> list[Check]:
     """End-to-end binning self-check on seasonal-simulation output.
 
     The 3x3 grid binned at the true (alpha, beta) values must reproduce the
-    tau=1000 reference means cell for cell within the mean tolerance.
+    reference means at SYNTHETIC_TAU cell for cell within the mean tolerance.
     """
-    out = []
-    for i, a in enumerate(SIM2_ALPHAS):
-        for j, b in enumerate(SIM2_BETAS):
-            expected = reference.SIM2_MEANS[(a, b, 1000.0)]
-            got = float(grid.means[i, j])
-            diff = abs(got - expected)
-            out.append(
-                Check(
-                    name=f"binned mean a={a:g} b={b:g}",
-                    ok=diff < reference.SIM2_MEAN_TOL_DAYS,
-                    detail=f"{got:.2f} vs {expected:.2f} (|diff| {diff:.3f})",
-                )
-            )
-    return out
+    return [_absolute(f"binned mean a={a:g} b={b:g}", float(grid.means[i, j]),
+                      reference.SIM2_MEANS[(a, b, reference.SYNTHETIC_TAU)],
+                      reference.SIM2_MEAN_TOL_DAYS)
+            for (i, a), (j, b) in product(enumerate(SIM2_ALPHAS), enumerate(SIM2_BETAS))]

@@ -165,14 +165,8 @@ def _reproduce_sim1(
     _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid))
     click.echo(f"sim1: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
 
-    all_checks = checks.sim1_ks_checks(grid)
-    all_checks.append(checks.sim1_improvement_check(grid))
-    all_checks.extend(
-        checks.winter_agreement_checks(
-            grid.cells[(4.0, 0.0, 2000.0)], tau=2000.0, alpha=4.0, sigma=grid.sigma
-        )
-    )
-    _finish_checks(all_checks, check_mode)
+    all_checks = checks.sim1_ks_checks(grid) + [checks.sim1_improvement_check(grid)]
+    _finish_checks(all_checks + checks.winter_agreement_checks(grid), check_mode)
 
 
 def _reproduce_sim2(
@@ -225,6 +219,20 @@ def _resolve_data_dir(data_dir: Path | None) -> Path:
     return Path(env) if env else Path("data")
 
 
+def _decode_error(path: Path, exc: UnicodeDecodeError) -> str:
+    """`<path>:<line>: <reason>` for exc, whose position counts from the decoder's buffer.
+
+    Decoding line by line is exact: no UTF-8 sequence contains the newline byte.
+    """
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return f"{path}:{number}: byte {line[e.start]:#04x} at column {e.start + 1} ({e.reason})"
+    return f"{path}: {exc}"
+
+
 def _reproduce_lilac_bins(
     seed: int | None, replicates: int, out: Path, force: bool,
     check_mode: bool, data_dir: Path | None, units: str,
@@ -255,7 +263,9 @@ def _reproduce_lilac_bins(
         parsed = data_io.parse_temperature_csv(path, units=units, observations=observations)
     except ThermalSumError as exc:
         raise click.UsageError(str(exc)) from None
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"cannot read {_decode_error(path, exc)}") from None
+    except (OSError, csv.Error) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}") from None
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
     click.echo(
@@ -288,20 +298,21 @@ def _lilac_synthetic_fallback(seed: int, replicates: int, out: Path, force: bool
     """End-to-end binning pipeline on seasonal-simulation output.
 
     Used by --check when the observational data are not on disk: hit days
-    from the tau=1000 seasonal grid are binned at their true (alpha, beta)
-    and the cell means must land on the reference grid.
+    from the seasonal grid at reference.SYNTHETIC_TAU are binned at their
+    true (alpha, beta) and the cell means must land on the reference grid.
     """
     click.echo("lilac data not found; running the synthetic binning pipeline check")
     run = _run_dir(out, "lilac-bins", seed, force)
     grid = simulate.run_grid(
-        seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, (1000.0,),
+        seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, (reference.SYNTHETIC_TAU,),
         breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=replicates,
     )
     triples = []
     for (a, b, _tau), res in sorted(grid.cells.items()):
         triples.extend((a, b, float(t)) for t in res.hitting_times)
     binned = fitting.bin_location_scale(
-        triples, alpha_edges=(3.0, 6.0, 9.0, 11.0), beta_edges=(0.1, 0.3, 0.6, 0.9)
+        triples, alpha_edges=reference.SYNTHETIC_ALPHA_EDGES,
+        beta_edges=reference.SYNTHETIC_BETA_EDGES,
     )
     (run / "tables.txt").write_text(binned.format_tables(), encoding="utf-8", newline="\n")
     _write_lines(run / "grid.csv", fitting.grid_csv_rows(binned))

@@ -152,7 +152,7 @@ def parse_temperature_csv(
     codes: dict[str, int] = {}
     chunks: list[tuple[np.ndarray, ...]] = []
     rejected = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -322,7 +322,7 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
 
     A malformed or out-of-range field raises ParameterError naming path:line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -15,6 +15,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -108,6 +109,27 @@ class HittingTimeApprox:
         return math.sqrt(self.variance)
 
 
+def _finite(closed_form: Callable) -> Callable:
+    """Raise ApproximationDomainError where a closed form's result is not finite.
+
+    Finite fields do not guarantee one: ** can overflow (OverflowError) or
+    underflow to a zero denominator, and a sum can overflow to inf.
+    """
+    @functools.wraps(closed_form)
+    def checked(params: RegimeParams):
+        try:
+            result = closed_form(params)
+            finite = all(math.isfinite(v) for v in vars(result).values() if isinstance(v, float))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ApproximationDomainError(f"{closed_form.__name__} is not finite at {params}")
+        return result
+
+    return checked
+
+
+@_finite
 def crossing_time(params: RegimeParams) -> CrossingTime:
     """Exact real root m of the noise-free crossing equation xi(m) = tau.
 
@@ -123,6 +145,7 @@ def crossing_time(params: RegimeParams) -> CrossingTime:
     return CrossingTime(m_tau=m, gamma=g)
 
 
+@_finite
 def approx_winter(params: RegimeParams) -> HittingTimeApprox:
     """Winter-regime normal approximation: mean tau/alpha, variance sigma^2 tau/alpha^3."""
     if params.beta != 0:
@@ -134,6 +157,7 @@ def approx_winter(params: RegimeParams) -> HittingTimeApprox:
     return HittingTimeApprox(mean=mean, variance=variance, regime=Regime.WINTER)
 
 
+@_finite
 def approx_spring(params: RegimeParams) -> HittingTimeApprox:
     """Spring-regime normal approximation in its simplified large-threshold form.
 
@@ -158,6 +182,7 @@ def approx_spring(params: RegimeParams) -> HittingTimeApprox:
     )
 
 
+@_finite
 def theory_approx(params: RegimeParams) -> HittingTimeApprox:
     """Normal approximation used to standardize simulated hitting times.
 

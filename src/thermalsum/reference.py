@@ -1,9 +1,9 @@
-"""Expected values for the bundled reproduction targets.
+"""Expected values, bounds and gate inputs for the bundled reproduction targets.
 
 These are the published reference numbers the `reproduce` subcommands check
 against in --check mode: the seasonal-simulation mean/sd grids (R = 10,000
 replicates, sigma = 20) and the binned lilac bloom-date grids. Keys of the
-simulation tables are (alpha, beta, tau).
+simulation tables are (alpha, beta, tau). Every bound and cell a check reads is set here.
 """
 
 from __future__ import annotations
@@ -36,11 +36,20 @@ SIM2_SD_REL_TOL = 0.05
 SIM1_KS_BOUND = 0.05
 SIM1_KS_DKW_LEVEL = 0.001
 
-# Winter agreement at (alpha=4, beta=0, tau=2000, sigma=20): the mean within
+# Winter agreement at the sim1 cell (alpha, beta, tau) below: the mean within
 # 3 standard errors (sd_theory/sqrt(R)) of the overshoot-corrected target,
 # the variance within 10% relative.
+WINTER_CELL = (4.0, 0.0, 2000.0)
 WINTER_MEAN_TOL_SE = 3.0
 WINTER_VARIANCE_REL_TOL = 0.10
+
+# The two-stage walnut fit's weighted R^2 must reach this.
+WALNUT_R2_MIN = 0.95
+
+# Synthetic binning check: the seasonal grid at this tau, one (alpha, beta) per bin.
+SYNTHETIC_TAU = 1000.0
+SYNTHETIC_ALPHA_EDGES = (3.0, 6.0, 9.0, 11.0)
+SYNTHETIC_BETA_EDGES = (0.1, 0.3, 0.6, 0.9)
 
 # Binned lilac bloom-date grids: rows are alpha bins, columns beta bins.
 LILAC_ALPHA_EDGES = (0.0, 0.7, 1.9, 4.7, 16.4)

@@ -121,8 +121,7 @@ def test_criterion_3_agreement_improves_with_tau(sim1_grid):
 
 
 def test_criterion_4_winter_mean(sim1_grid):
-    result = sim1_grid.cells[(4.0, 0.0, 2000.0)]
-    c = checks.winter_agreement_checks(result, tau=2000.0, alpha=4.0, sigma=20.0)[0]
+    c = checks.winter_agreement_checks(sim1_grid)[0]
     detail = c.detail + (
         ""
         if c.ok
@@ -138,8 +137,7 @@ def test_criterion_4_winter_mean(sim1_grid):
 
 
 def test_criterion_4_winter_variance(sim1_grid):
-    result = sim1_grid.cells[(4.0, 0.0, 2000.0)]
-    c = checks.winter_agreement_checks(result, tau=2000.0, alpha=4.0, sigma=20.0)[1]
+    c = checks.winter_agreement_checks(sim1_grid)[1]
     line = report("4b", c.ok, c.detail)
     assert c.ok, line
 
@@ -178,13 +176,13 @@ def test_criterion_5_walnut_fit(walnut_fit):
     sig_rel = abs(fit.sigma_hat**2 - sig2_oracle) / sig2_oracle
     means_dec = all(x > y for x, y in zip(fit.fitted_means, fit.fitted_means[1:]))
     sds_dec = all(x > y for x, y in zip(fit.fitted_sds, fit.fitted_sds[1:]))
-    r2_ok = fit.r_squared_weighted >= 0.95
+    r2_ok = fit.r_squared_weighted >= reference.WALNUT_R2_MIN
     ok = means_dec and sds_dec and tau_rel < 1e-4 and sig_rel < 1e-4 and r2_ok
     detail = (
         f"tau_hat {fit.tau_hat:.4g} vs oracle {tau_oracle:.4g} (rel {tau_rel:.2e}); "
         f"sigma_hat^2 {fit.sigma_hat**2:.4g} vs oracle {sig2_oracle:.4g} (rel {sig_rel:.2e}); "
         f"means decreasing={means_dec}, sds decreasing={sds_dec}, "
-        f"weighted R^2 {fit.r_squared_weighted:.4f} >= 0.95"
+        f"weighted R^2 {fit.r_squared_weighted:.4f} >= {reference.WALNUT_R2_MIN}"
     )
     line = report("5", ok, detail)
     assert ok, line
@@ -252,11 +250,12 @@ def test_criterion_8_binning_pipeline_on_synthetic_grid(sim2_grid):
     grid, _ = sim2_grid
     triples = []
     for (a, b, tau), res in sorted(grid.cells.items()):
-        if tau != 1000.0:
+        if tau != reference.SYNTHETIC_TAU:
             continue
         triples.extend((a, b, float(t)) for t in res.hitting_times)
     binned = fitting.bin_location_scale(
-        triples, alpha_edges=(3.0, 6.0, 9.0, 11.0), beta_edges=(0.1, 0.3, 0.6, 0.9)
+        triples, alpha_edges=reference.SYNTHETIC_ALPHA_EDGES,
+        beta_edges=reference.SYNTHETIC_BETA_EDGES,
     )
     assert binned.counts.sum() == 9 * grid.replicates
     outcomes = checks.synthetic_binning_checks(binned)

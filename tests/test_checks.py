@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,77 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import invgauss
 
-from thermalsum import checks, reference
+from thermalsum import checks, fitting, reference
 from thermalsum.simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, SimulationGrid, SimulationResult
+
+
+@pytest.mark.parametrize(
+    "rule, at_bound", [("<", False), ("<=", True), (">", False), (">=", True)]
+)
+def test_check_rule_at_the_bound_and_with_nan(rule, at_bound):
+    assert checks.Check("c", 0.05, rule, 0.05).ok is at_bound
+    assert checks.Check("c", math.nan, rule, 0.05).ok is False
+
+
+def test_check_detail_states_the_comparison_once():
+    assert checks.Check("c", 0.0265, "<", 0.05, "why").detail == "0.0265 < bound 0.05 (why)"
+    assert checks.Check("c", 0.9617, ">=", 0.95).detail == "0.9617 >= bound 0.95"
+
+
+def _walnut_with_means(means):
+    fit = fitting.fit_winter_wls(fitting.load_walnut_observations())
+    return dataclasses.replace(fit, fitted_means=tuple(means))
+
+
+def _lilac_grid(sds):
+    shape = np.shape(reference.LILAC_SD_BINS)
+    return fitting.BinnedGrid(
+        alpha_edges=np.asarray(reference.LILAC_ALPHA_EDGES),
+        beta_edges=np.asarray(reference.LILAC_BETA_EDGES), counts=np.full(shape, 10),
+        means=np.asarray(reference.LILAC_MEAN_BINS), sds=np.asarray(sds), clamped=0,
+        degenerate_alpha=False, degenerate_beta=False,
+    )
+
+
+def _sd_pattern(cell=None, value=None):
+    sds = np.array(reference.LILAC_SD_BINS)
+    if cell is not None:
+        sds[cell] = value
+    return checks.lilac_grid_checks(_lilac_grid(sds))[2]
+
+
+class TestGatesFailAtATie:
+    def test_walnut_equal_successive_means(self):
+        assert checks.walnut_checks(_walnut_with_means([120.0, 60.0, 40.0, 30.0, 24.0]))[0].ok
+        c = checks.walnut_checks(_walnut_with_means([120.0, 60.0, 60.0, 30.0, 24.0]))[0]
+        assert (c.value, c.ok) == (0.0, False)
+
+    def test_lilac_sd_pattern(self):
+        published = reference.LILAC_SD_BINS
+        assert _sd_pattern().ok  # the published grid has the pattern
+        assert not _sd_pattern((-1, 1), published[-1][0]).ok  # tie across the top-alpha row
+        assert not _sd_pattern((-1, 3), published[0][3]).ok  # tie down a beta column
+        c = _sd_pattern((0, 2), np.nan)
+        assert math.isnan(c.value) and not c.ok
+
+    def test_sim1_grid_without_winter_pair(self):
+        grid = SimulationGrid(alphas=(2.0,), betas=(0.1,), taus=(1000.0, 2000.0),
+                              sigma=20.0, replicates=10, seed=0)
+        for tau, ks in ((1000.0, 0.03), (2000.0, 0.02)):
+            grid.cells[(2.0, 0.1, tau)] = SimulationResult(
+                hitting_times=np.ones(10, dtype=np.int64), mean=1.0, sd=0.0, seed=0,
+                max_horizon=10, ks=ks,
+            )
+        c = checks.sim1_improvement_check(grid)
+        assert math.isnan(c.value) and not c.ok
+
+    def test_cell_without_z_values(self):
+        grid = _fake_results({(a, b): (0.02, 0.01) for a in SIM1_ALPHAS for b in SIM1_BETAS})
+        grid.cells[(2.0, 0.0, 1000.0)].ks = None
+        outcome = {c.name: c for c in checks.sim1_ks_checks(grid)}
+        c = outcome["sim1 ks a=2 b=0 tau=1000"]
+        assert math.isnan(c.value) and not c.ok and c.note == "no z values"
+        assert not checks.sim1_improvement_check(grid).ok
 
 
 def _dense_gap(alpha: float, sigma: float, tau: float, points: int = 200_001) -> float:

@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from station_csv import StationRecord, write_temperature_csv
 import thermalsum
@@ -86,6 +89,36 @@ class TestApprox:
         )
         assert result.exit_code == 0
         assert "questionable" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--alpha", "1e200", "--tau", "10", "--sigma", "1"],
+            ["--alpha", "1e-300", "--tau", "1e10", "--sigma", "1"],
+            ["--alpha", "1", "--beta", "1e-200", "--tau", "1e300", "--sigma", "1"],
+        ],
+        ids=["alpha_cubed_overflows", "alpha_cubed_underflows", "spring_mean_overflows"],
+    )
+    def test_result_outside_doubles_exits_2(self, runner, args):
+        result = runner.invoke(main, ["approx"] + args)
+        assert result.exit_code == 2, result.output
+        assert "is not finite at RegimeParams(" in result.output
+
+
+_log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_log_uniform, beta=st.just(0.0) | _log_uniform,
+       sigma=st.just(0.0) | _log_uniform, tau=_log_uniform)
+def test_approx_prints_finite_numbers_or_exits_2(alpha, beta, sigma, tau):
+    args = ["--alpha", repr(alpha), "--beta", repr(beta), "--sigma", repr(sigma), "--tau", repr(tau)]
+    result = CliRunner().invoke(main, ["approx"] + args)
+    assert result.exit_code in (0, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 0:
+        fields = [f.split("=", 1)[1] for f in result.output.splitlines()[0].split()[1:]]
+        assert fields and all(math.isfinite(float(f)) for f in fields), result.output
 
 
 class TestReproduceSim2:
@@ -391,6 +424,40 @@ class TestReproduceLilacBins:
         assert f"cannot read {path}" in result.output
         assert not (tmp_path / "runs").exists()
 
+    def test_undecodable_byte_names_its_line(self, runner, tmp_path):
+        # line 400 lies past the decoder's first 8 KiB buffer
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / "daily_temperatures.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[399] = lines[399][:5] + b"\xe9" + lines[399][5:]
+        path.write_bytes(b"\n".join(lines))
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {path}:400: byte 0xe9 at column 6" in result.output
+        assert not (tmp_path / "runs").exists()
+
+    def test_byte_order_marks_join_as_plain_files(self, runner, tmp_path):
+        outputs = []
+        for sub, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            _write_lilac_fixture(tmp_path / sub)
+            for name in ("lilac_phenology.csv", "daily_temperatures.csv"):
+                path = tmp_path / sub / name
+                path.write_bytes(bom + path.read_bytes())
+            result = runner.invoke(
+                main,
+                ["reproduce", "lilac-bins", "--out", str(tmp_path / sub / "runs"),
+                 "--data-dir", str(tmp_path / sub)],
+            )
+            assert result.exit_code == 0, result.output
+            run = tmp_path / sub / "runs" / "lilac-bins"
+            outputs.append({p.name: p.read_bytes() for p in run.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["analysis_rows.csv"].count(b"\n") == 5
+
     def test_check_without_data_requires_seed(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -463,8 +530,7 @@ class TestRuntimeDependencies:
             "grid = simulate.run_grid(3, simulate.SIM1_ALPHAS, simulate.SIM1_BETAS,\n"
             "                         simulate.SIM1_TAUS, replicates=200)\n"
             "checks.sim1_ks_checks(grid)\n"
-            "checks.winter_agreement_checks(grid.cells[(4.0, 0.0, 2000.0)], tau=2000.0,\n"
-            "                               alpha=4.0, sigma=grid.sigma)\n"
+            "checks.winter_agreement_checks(grid)\n"
             "print('done')"
         )
         assert proc.returncode == 0, proc.stderr
