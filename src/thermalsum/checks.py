@@ -213,10 +213,11 @@ def lilac_grid_checks(grid: BinnedGrid) -> list[Check]:
 
     The grid must be binned on the published edges for cells to correspond.
     The column pattern is checked net (bottom row vs top row), matching the
-    published grids, which are not monotone step by step.
+    published grids, which are not monotone step by step. An empty bin reads
+    NaN and fails both tolerance gates.
     """
-    mean_worst = float(np.nanmax(np.abs(grid.means - np.asarray(reference.LILAC_MEAN_BINS))))
-    sd_worst = float(np.nanmax(np.abs(grid.sds - np.asarray(reference.LILAC_SD_BINS))))
+    mean_worst = float(np.max(np.abs(grid.means - np.asarray(reference.LILAC_MEAN_BINS))))
+    sd_worst = float(np.max(np.abs(grid.sds - np.asarray(reference.LILAC_SD_BINS))))
     sds = grid.sds  # sd rises down each beta column (net) and falls across the top-alpha row
     margins = np.concatenate([sds[-1] - sds[0], sds[-1, :-1] - sds[-1, 1:]])
     return [

@@ -356,6 +356,10 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
                 )
             if not obs.site_id:
                 raise ParameterError(f"{where}: blank site_id")
+            if not datetime.MINYEAR <= obs.year <= datetime.MAXYEAR:
+                raise ParameterError(
+                    f"{where}: year {obs.year} outside [{datetime.MINYEAR}, {datetime.MAXYEAR}]"
+                )
             last_day = regimes.days_in_year(obs.year)
             if not 1 <= obs.bloom_doy <= last_day:
                 raise ParameterError(

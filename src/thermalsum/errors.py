@@ -14,7 +14,7 @@ class ApproximationDomainError(ThermalSumError):
 
 
 class HorizonExceeded(ThermalSumError):
-    """A simulated path failed to cross the threshold within max_horizon days."""
+    """A simulated path failed to cross the threshold within simulate.MAX_HORIZON days."""
 
 
 class InsufficientData(ThermalSumError):

@@ -9,10 +9,9 @@ its own and a run's hitting times depend only on (seed, cell, replicate).
 Day k of a path is always the k-th value its substream draws, and Z_n is the
 sequential sum X_1 + ... + X_n.
 Replicates are drawn in chunks, one block matrix per chunk with one substream
-per row. Each cell plans its block lengths from its own mean path (of the
-clipped values, for a spec that clips at base): the first block ends two
-linearized standard deviations past the mean path's crossing day, and the
-later ones are one standard deviation long. numpy's Gaussian and
+per row. Each cell plans its block lengths from its own mean path: the first
+block ends two linearized standard deviations past the mean path's crossing
+day, and the later ones are one standard deviation long. numpy's Gaussian and
 two-point draws do not depend on how a stream is split into calls, so neither
 the chunk size nor the block lengths are part of the seed contract, and
 neither changes an output.
@@ -36,7 +35,8 @@ import numpy as np
 from . import model
 from .errors import HorizonExceeded, ParameterError
 
-DEFAULT_MAX_HORIZON = 10_000
+# Days a path may run before HorizonExceeded.
+MAX_HORIZON = 10_000
 DEFAULT_SIGMA = 20.0
 DEFAULT_REPLICATES = 10_000
 
@@ -72,15 +72,15 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 @dataclass(frozen=True)
 class TemperatureProcessSpec:
-    """Daily temperature process: trend, noise law, optional base clipping.
+    """Daily temperature process: trend and noise law.
 
     The trend is mu_i = alpha + beta*max(i - breakpoint_day, 0) for days
     i >= 1: flat at alpha through breakpoint_day, then rising at beta without
     end. breakpoint_day = 0 is the linear trend alpha + beta*i.
     noise_law "gaussian" draws Normal(0, sigma^2); "two_point" draws +-sigma
     with equal probability (mean 0, variance sigma^2), which admits exact
-    enumeration of small instances. clip_at_base clips each day's value at 0
-    before accumulation; verification runs leave it off.
+    enumeration of small instances. Daily values are not clipped at the base
+    temperature.
     """
 
     alpha: float
@@ -88,7 +88,6 @@ class TemperatureProcessSpec:
     noise_sigma: float
     breakpoint_day: int = 0
     noise_law: str = "gaussian"
-    clip_at_base: bool = False
 
     def __post_init__(self) -> None:
         if self.noise_law not in ("gaussian", "two_point"):
@@ -125,7 +124,6 @@ class SimulationResult:
     mean: float
     sd: float
     seed: int
-    max_horizon: int
     z_values: np.ndarray | None = None
     ks: float | None = None
     theory: model.HittingTimeApprox | None = None
@@ -204,50 +202,28 @@ def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[d
         start = end
 
 
-def _block_plan(spec: TemperatureProcessSpec, tau: float, max_horizon: int) -> tuple[int, int]:
+def _block_plan(spec: TemperatureProcessSpec, tau: float) -> tuple[int, int]:
     """(first, later) block lengths in days for one cell's paths.
 
-    m is the first day the mean path sum(E[X_1]..E[X_m]) exceeds tau, and
-    s = sigma*sqrt(m)/E[X_m] is the linearized sd of the hitting time around
-    it; E[X_i] is mu_i unless the spec clips at base (see _daily_mean). The
-    first block ends at ceil(m + 2s); later blocks are ceil(s) days and at
-    least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
-    mean crossing within max_horizon every block is _MAX_BLOCK. The plan only
-    sizes the draws: hitting times do not depend on it. The mean path is
-    summed _MAX_BLOCK days at a time, so memory stays bounded at any horizon.
+    m is the first day the mean path mu_1 + ... + mu_m exceeds tau, and
+    s = sigma*sqrt(m)/mu_m is the linearized sd of the hitting time around
+    it. The first block ends at ceil(m + 2s); later blocks are ceil(s) days
+    and at least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
+    mean crossing within MAX_HORIZON every block is _MAX_BLOCK. The plan only
+    sizes the draws: hitting times do not depend on it.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ParameterError(f"tau must be finite and > 0, got {tau}")
-    total, day0 = 0.0, 0
-    while day0 < max_horizon:
-        n = min(_MAX_BLOCK, max_horizon - day0)
-        path = _daily_mean(spec, np.arange(day0 + 1, day0 + n + 1))
-        path[0] += total
-        np.cumsum(path, out=path)
-        crossed = path > tau
-        if crossed.any():
-            m = day0 + int(np.argmax(crossed)) + 1
-            # E[X_m] > 0: it carries the mean path from <= tau to > tau
-            s = spec.noise_sigma * math.sqrt(m) / float(_daily_mean(spec, m))
-            first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
-            later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
-            return first, later
-        total, day0 = path[-1], day0 + n
-    return _MAX_BLOCK, _MAX_BLOCK
-
-
-def _daily_mean(spec: TemperatureProcessSpec, days: np.ndarray) -> np.ndarray:
-    """E[X_i] for an array of days: mu_i, or E[max(mu_i + eps_i, 0)] when clipped."""
-    mu = spec.mean_at(days)
-    if not spec.clip_at_base:
-        return mu
-    sigma = spec.noise_sigma
-    if sigma == 0:
-        return np.maximum(mu, 0.0)
-    if spec.noise_law == "two_point":
-        return 0.5 * (np.maximum(mu + sigma, 0.0) + np.maximum(mu - sigma, 0.0))
-    z = mu / sigma
-    return mu * model.normal_cdf(z) + sigma * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    path = spec.mean_at(np.arange(1.0, MAX_HORIZON + 1))
+    crossed = np.cumsum(path, out=path) > tau
+    if not crossed.any():
+        return _MAX_BLOCK, _MAX_BLOCK
+    m = int(np.argmax(crossed)) + 1
+    # mu_m > 0: it carries the mean path from <= tau to > tau
+    s = spec.noise_sigma * math.sqrt(m) / float(spec.mean_at(m))
+    first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
+    later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
+    return first, later
 
 
 def _block_values(
@@ -262,8 +238,6 @@ def _block_values(
             values[k] = 2.0 * rng.integers(0, 2, size=n) - 1.0
     values *= spec.noise_sigma
     values += spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
-    if spec.clip_at_base:
-        np.maximum(values, 0.0, out=values)
     return values
 
 
@@ -271,7 +245,6 @@ def _first_passage(
     spec: TemperatureProcessSpec,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    max_horizon: int,
     plan: tuple[int, int],
 ) -> np.ndarray:
     """Hitting time of the path drawn from each generator, in generator order.
@@ -286,8 +259,8 @@ def _first_passage(
     alive = np.arange(len(rngs))
     carry = np.zeros(len(rngs))
     day0, block = 0, plan[0]
-    while day0 < max_horizon:
-        n = min(block, max_horizon - day0)
+    while day0 < MAX_HORIZON:
+        n = min(block, MAX_HORIZON - day0)
         z = _block_values(spec, [rngs[k] for k in alive], day0, n)
         z[:, 0] += carry
         np.cumsum(z, axis=1, out=z)
@@ -300,8 +273,8 @@ def _first_passage(
         day0, block = day0 + n, plan[1]
     raise HorizonExceeded(
         f"{len(alive)} of {len(rngs)} paths did not cross tau={tau} within "
-        f"{max_horizon} days (alpha={spec.alpha}, beta={spec.beta}, "
-        f"sigma={spec.noise_sigma}, clip_at_base={spec.clip_at_base})"
+        f"{MAX_HORIZON} days (alpha={spec.alpha}, beta={spec.beta}, "
+        f"sigma={spec.noise_sigma})"
     )
 
 
@@ -311,7 +284,6 @@ def simulate_hitting_times(
     replicates: int,
     seed: int,
     cell: int = 0,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> np.ndarray:
     """Hitting times for `replicates` independent paths, in replicate order.
 
@@ -320,13 +292,13 @@ def simulate_hitting_times(
     identical output. Replicates are drawn _CHUNK at a time from reused
     generators loaded with the substream states, on one block plan for the
     cell; neither changes any output. Raises HorizonExceeded if a path has
-    not crossed by max_horizon (possible with clipping and low alpha).
+    not crossed by day MAX_HORIZON.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if seed < 0 or cell < 0:
         raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
-    plan = _block_plan(spec, tau, max_horizon)
+    plan = _block_plan(spec, tau)
     out = np.empty(replicates, dtype=np.int64)
     rngs = [np.random.default_rng() for _ in range(min(_CHUNK, replicates))]
     states = _substream_states(seed, cell, 0, replicates)
@@ -336,7 +308,7 @@ def simulate_hitting_times(
         # a loaded state also empties the 32-bit buffer the two-point draw reads
         for rng, state in zip(chunk, states):
             rng.bit_generator.state = state
-        out[start:stop] = _first_passage(spec, tau, chunk, max_horizon, plan)
+        out[start:stop] = _first_passage(spec, tau, chunk, plan)
     return out
 
 
@@ -386,7 +358,6 @@ def _run_cell(
     replicates: int,
     seed: int,
     cell: int,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> SimulationResult:
     """Simulate one grid cell, verify its stopping rule and summarize it.
 
@@ -395,14 +366,13 @@ def _run_cell(
     linearized spring form when beta > 0), and the KS distance of the
     standardized values from Normal(0,1) is attached.
     """
-    times = simulate_hitting_times(spec, tau, replicates, seed, cell, max_horizon)
+    times = simulate_hitting_times(spec, tau, replicates, seed, cell)
     verify_stopping(spec, tau, seed, cell, times)
     result = SimulationResult(
         hitting_times=times,
         mean=float(times.mean()),
         sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
         seed=seed,
-        max_horizon=max_horizon,
     )
     if spec.breakpoint_day == 0 and spec.noise_sigma > 0:
         params = model.RegimeParams(
@@ -422,7 +392,6 @@ def run_simulation_1(
     replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
     cell: int = 0,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> SimulationResult:
     """Linear-trend verification run for one (alpha, beta, tau) grid point.
 
@@ -431,7 +400,7 @@ def run_simulation_1(
     z/ks are None.
     """
     spec = TemperatureProcessSpec(alpha, beta, sigma)
-    return _run_cell(spec, tau, replicates, seed, cell, max_horizon)
+    return _run_cell(spec, tau, replicates, seed, cell)
 
 
 @dataclass
@@ -481,8 +450,7 @@ def run_grid(
     Cell c is the c-th point of product(alphas, betas, taus); that numbering
     is part of the substream contract. The bundled runs are sim1 (the SIM1_*
     axes, linear trend) and sim2 (the SIM2_* axes, breakpoint_day =
-    SIM2_BREAKPOINT_DAY). Daily values are not clipped at the base
-    temperature: the reference tables are generated from unclipped sums.
+    SIM2_BREAKPOINT_DAY).
     """
     grid = SimulationGrid(
         alphas=tuple(alphas), betas=tuple(betas), taus=tuple(taus),

@@ -28,12 +28,12 @@ def _walnut_with_means(means):
     return dataclasses.replace(fit, fitted_means=tuple(means))
 
 
-def _lilac_grid(sds):
+def _lilac_grid(sds, means=reference.LILAC_MEAN_BINS, counts=10):
     shape = np.shape(reference.LILAC_SD_BINS)
     return fitting.BinnedGrid(
         alpha_edges=np.asarray(reference.LILAC_ALPHA_EDGES),
-        beta_edges=np.asarray(reference.LILAC_BETA_EDGES), counts=np.full(shape, 10),
-        means=np.asarray(reference.LILAC_MEAN_BINS), sds=np.asarray(sds), clamped=0,
+        beta_edges=np.asarray(reference.LILAC_BETA_EDGES), counts=np.broadcast_to(counts, shape),
+        means=np.asarray(means), sds=np.asarray(sds), clamped=0,
         degenerate_alpha=False, degenerate_beta=False,
     )
 
@@ -59,13 +59,26 @@ class TestGatesFailAtATie:
         c = _sd_pattern((0, 2), np.nan)
         assert math.isnan(c.value) and not c.ok
 
+    def test_lilac_empty_bins_fail_the_tolerance_gates(self):
+        # 15 of 16 bins empty, the last equal to the published cell: an empty
+        # bin's NaN mean and sd must not be skipped
+        empty = np.full(np.shape(reference.LILAC_SD_BINS), np.nan)
+        means, sds, counts = empty.copy(), empty.copy(), np.zeros(empty.shape, dtype=int)
+        means[-1, -1] = reference.LILAC_MEAN_BINS[-1][-1]
+        sds[-1, -1] = reference.LILAC_SD_BINS[-1][-1]
+        counts[-1, -1] = 10
+        mean_gate, sd_gate, _ = checks.lilac_grid_checks(_lilac_grid(sds, means, counts))
+        for c in (mean_gate, sd_gate):
+            assert math.isnan(c.value) and not c.ok, c.name
+        # the published grid itself passes both
+        assert all(c.ok for c in checks.lilac_grid_checks(_lilac_grid(reference.LILAC_SD_BINS))[:2])
+
     def test_sim1_grid_without_winter_pair(self):
         grid = SimulationGrid(alphas=(2.0,), betas=(0.1,), taus=(1000.0, 2000.0),
                               sigma=20.0, replicates=10, seed=0)
         for tau, ks in ((1000.0, 0.03), (2000.0, 0.02)):
             grid.cells[(2.0, 0.1, tau)] = SimulationResult(
-                hitting_times=np.ones(10, dtype=np.int64), mean=1.0, sd=0.0, seed=0,
-                max_horizon=10, ks=ks,
+                hitting_times=np.ones(10, dtype=np.int64), mean=1.0, sd=0.0, seed=0, ks=ks,
             )
         c = checks.sim1_improvement_check(grid)
         assert math.isnan(c.value) and not c.ok
@@ -137,7 +150,7 @@ def _fake_results(ks: dict[tuple[float, float], tuple[float, float]]):
             for tau, value in zip(sorted(SIM1_TAUS), ks[(a, b)]):
                 grid.cells[(a, b, tau)] = SimulationResult(
                     hitting_times=np.ones(r, dtype=np.int64),
-                    mean=1.0, sd=0.0, seed=0, max_horizon=10, ks=value,
+                    mean=1.0, sd=0.0, seed=0, ks=value,
                 )
     return grid
 

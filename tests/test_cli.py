@@ -1,9 +1,11 @@
 import datetime
+import functools
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -350,6 +352,21 @@ class TestReproduceLilacBins:
         if len(edits) > 1:
             assert edits[1][0] not in result.output
 
+    @pytest.mark.parametrize("year", [0, -5, 10000])
+    def test_year_outside_the_calendar_exits_2_without_run_dir(self, runner, tmp_path, year):
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / "lilac_phenology.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "L0,40.0,-75.0,2020,", f"L0,40.0,-75.0,{year},", 1), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{path}:2: year {year} outside [1, 9999]" in result.output
+        assert not (tmp_path / "runs").exists()
+
     def test_zero_joined_rows_exits_3_without_run_dir(self, runner, tmp_path):
         _write_lilac_fixture(tmp_path / "data")
         (tmp_path / "data" / "lilac_phenology.csv").write_text(
@@ -466,6 +483,66 @@ class TestReproduceLilacBins:
         )
         assert result.exit_code == 2
         assert "--seed" in result.output
+
+
+_PHENOLOGY = "lilac_phenology.csv"
+_LILAC_OUTPUTS = {"analysis_rows.csv", "tables.txt", "grid.csv"}
+
+
+@functools.cache
+def _lilac_input_bytes() -> tuple[tuple[str, bytes], ...]:
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_lilac_fixture(Path(tmp))
+        return tuple((p.name, p.read_bytes()) for p in sorted(Path(tmp).iterdir()))
+
+
+_year_cell = st.integers(-10**5, 10**5).map(str) | st.text(max_size=8)
+
+
+@st.composite
+def _damaged(draw, data: bytes) -> bytes:
+    """data with one byte-level fault: a flip, a cut, an odd byte, a long field, a BOM, CRLF."""
+    kind = draw(st.sampled_from(["flip", "truncate", "insert", "long_field", "bom", "crlf"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "flip":  # past the end, nothing flips
+        bit = 1 << draw(st.integers(0, 7))
+        return data[:at] + bytes(b ^ bit for b in data[at:at + 1]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + draw(st.sampled_from([b"\xe9", b"\x00", b'"'])) + data[at:]
+    if kind == "long_field":
+        return data[:at] + b"X" * 200_000 + data[at:]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    return data.replace(b"\n", b"\r\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lilac_bins_keeps_its_exit_code_contract(tmp_path_factory, data):
+    # damaged inputs end in exit 0, 2 or 3, never in a traceback, and leave
+    # either no run directory or a complete one
+    files = dict(_lilac_input_bytes())
+    lines = files[_PHENOLOGY].split(b"\n")
+    for row in data.draw(st.lists(st.integers(1, len(lines) - 2), max_size=2)):
+        cells = lines[row].split(b",")
+        cells[3] = data.draw(_year_cell).encode("utf-8")
+        lines[row] = b",".join(cells)
+    files[_PHENOLOGY] = b"\n".join(lines)
+    for name in data.draw(st.lists(st.sampled_from(sorted(files)), max_size=3)):
+        files[name] = data.draw(_damaged(files[name]))
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "data").mkdir()
+    for name, content in files.items():
+        (root / "data" / name).write_bytes(content)
+    result = CliRunner().invoke(
+        main, ["reproduce", "lilac-bins", "--out", str(root / "runs"), "--data-dir", str(root / "data")]
+    )
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    run = root / "runs" / "lilac-bins"
+    assert not run.exists() or {p.name for p in run.iterdir()} == _LILAC_OUTPUTS
 
 
 class TestUsageValidation:

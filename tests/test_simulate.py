@@ -18,11 +18,11 @@ def seasonal(alpha, beta, sigma):
     )
 
 
-def simulate_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORIZON):
+def simulate_hitting_time(spec, tau, rng):
     # the engine on one path: _first_passage on one generator, with the
     # block plan of the path's cell
-    plan = simulate._block_plan(spec, tau, max_horizon)
-    return int(simulate._first_passage(spec, tau, [rng], max_horizon, plan)[0])
+    plan = simulate._block_plan(spec, tau)
+    return int(simulate._first_passage(spec, tau, [rng], plan)[0])
 
 
 class TestTemperatureProcessSpec:
@@ -84,20 +84,10 @@ class TestSimulateHittingTime:
         with pytest.raises(ParameterError, match="tau must be finite"):
             simulate_hitting_time(linear(4, 0, 20), tau, np.random.default_rng(0))
 
-    def test_horizon_exceeded(self):
+    def test_horizon_exceeded(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 100)
         with pytest.raises(HorizonExceeded):
-            simulate_hitting_time(
-                linear(0.01, 0, 0), 1000.0, np.random.default_rng(0), max_horizon=100
-            )
-
-    def test_clipping_changes_paths(self):
-        # heavy noise around a small mean: clipping forbids negative days so
-        # the clipped path accumulates faster
-        spec_raw = linear(1, 0, 30)
-        spec_clip = linear(1, 0, 30, clip_at_base=True)
-        t_raw = simulate.simulate_hitting_times(spec_raw, 500.0, 200, seed=3)
-        t_clip = simulate.simulate_hitting_times(spec_clip, 500.0, 200, seed=3)
-        assert t_clip.mean() < t_raw.mean()
+            simulate_hitting_time(linear(0.01, 0, 0), 1000.0, np.random.default_rng(0))
 
     def test_two_point_small_instance_matches_enumeration(self):
         # alpha=1 with +-1 noise: daily values are 0 or 2; tau=3.
@@ -131,29 +121,27 @@ def _two_point_exact(tau, alpha, sigma, nmax):
     return probs
 
 
-def _one_path_hitting_time(spec, tau, rng, max_horizon=simulate.DEFAULT_MAX_HORIZON):
+def _one_path_hitting_time(spec, tau, rng):
     # reference: one path, the whole horizon drawn in one call, one 1-D
     # cumsum, the first day with Z_n > tau
-    days = np.arange(1, max_horizon + 1)
+    horizon = simulate.MAX_HORIZON
+    days = np.arange(1, horizon + 1)
     if spec.noise_law == "gaussian":
-        noise = spec.noise_sigma * rng.standard_normal(max_horizon)
+        noise = spec.noise_sigma * rng.standard_normal(horizon)
     else:
-        noise = spec.noise_sigma * (2.0 * rng.integers(0, 2, size=max_horizon) - 1.0)
-    values = spec.mean_at(days) + noise
-    if spec.clip_at_base:
-        values = np.maximum(values, 0.0)
-    z = np.cumsum(values)
+        noise = spec.noise_sigma * (2.0 * rng.integers(0, 2, size=horizon) - 1.0)
+    z = np.cumsum(spec.mean_at(days) + noise)
     if not (z > tau).any():
-        raise HorizonExceeded(f"no crossing within {max_horizon} days")
+        raise HorizonExceeded(f"no crossing within {horizon} days")
     return int(np.argmax(z > tau)) + 1
 
 
-def _rows_drawn(nu, plan, max_horizon):
+def _rows_drawn(nu, plan):
     # days a row crossing on day nu draws under plan (first, later)
     first, later = plan
     if nu <= first:
-        return min(first, max_horizon)
-    return min(first + later * -(-(nu - first) // later), max_horizon)
+        return min(first, simulate.MAX_HORIZON)
+    return min(first + later * -(-(nu - first) // later), simulate.MAX_HORIZON)
 
 
 class TestBatchProperties:
@@ -176,7 +164,6 @@ class TestBatchProperties:
         [
             # winter paths of ~1000 days cross up to the fourth block (day 1792+)
             (linear(2, 0, 20), 2000.0, 1, [1803, 1197, 1115, 1993, 533, 950]),
-            (linear(1, 0, 30, clip_at_base=True), 500.0, 3, [37, 39, 46, 51, 54, 68]),
             # two-point noise, crossing on both sides of day 256; recorded from
             # the one-replicate-at-a-time loop, before replicates were chunked
             (linear(1, 0, 3, noise_law="two_point"), 300.0, 2, [359, 245, 326, 260, 337, 293]),
@@ -244,20 +231,21 @@ class TestBatchProperties:
                 for i in range(2 * chunk + 1)]
         assert times.tolist() == loop
 
-    def test_partly_crossed_chunk_raises(self):
+    def test_partly_crossed_chunk_raises(self, monkeypatch):
         # within one chunk some paths cross by day 100 and others do not: the
         # run must raise rather than return the uncrossed rows unfilled
-        spec, tau, horizon = linear(1, 0, 30), 100.0, 100
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 100)
+        spec, tau = linear(1, 0, 30), 100.0
         crossed = 0
         for i in range(simulate._CHUNK):
             try:
-                _one_path_hitting_time(spec, tau, simulate.substream(2, 0, i), horizon)
+                _one_path_hitting_time(spec, tau, simulate.substream(2, 0, i))
                 crossed += 1
             except HorizonExceeded:
                 pass
         assert 0 < crossed < simulate._CHUNK
         with pytest.raises(HorizonExceeded):
-            simulate.simulate_hitting_times(spec, tau, simulate._CHUNK, seed=2, max_horizon=horizon)
+            simulate.simulate_hitting_times(spec, tau, simulate._CHUNK, seed=2)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ParameterError):
@@ -265,18 +253,17 @@ class TestBatchProperties:
 
 
 # (spec, tau, cell): Gaussian rows crossing in 150-250 days, two-point rows
-# near day 300, clipped rows near day 50, and a noiseless path whose
-# crossing day a block carry added after the cumsum would round away
+# near day 300, and a noiseless path whose crossing day a block carry added
+# after the cumsum would round away
 PLAN_CASES = [
     (linear(4, 0.1, 20), 800.0, 1),
     (linear(1, 0, 3, noise_law="two_point"), 300.0, 2),
-    (linear(1, 0, 30, clip_at_base=True), 500.0, 3),
     (linear(0.1, 0, 0), 25.800000000000093, 0),
 ]
 PLAN_REPLICATES = simulate._CHUNK + 3
 
 
-# (first, later) block lengths of every bundled grid cell; none clips at base
+# (first, later) block lengths of every bundled grid cell
 SIM1_PLANS = {
     (2.0, 0.0, 1000.0): (949, 224), (2.0, 0.0, 2000.0): (1634, 317),
     (2.0, 0.1, 1000.0): (155, 16), (2.0, 0.1, 2000.0): (208, 16),
@@ -298,49 +285,32 @@ SIM2_PLANS = {
 
 class TestBlockPlan:
     def test_bundled_cells_keep_their_plans(self):
-        sigma, horizon = simulate.DEFAULT_SIGMA, simulate.DEFAULT_MAX_HORIZON
+        sigma = simulate.DEFAULT_SIGMA
         for (a, b, tau), plan in SIM1_PLANS.items():
-            assert simulate._block_plan(linear(a, b, sigma), tau, horizon) == plan
+            assert simulate._block_plan(linear(a, b, sigma), tau) == plan
         for (a, b, tau), plan in SIM2_PLANS.items():
-            assert simulate._block_plan(seasonal(a, b, sigma), tau, horizon) == plan
-
-    def test_clipped_paths_plan_from_the_clipped_mean(self):
-        # E[max(1 + eps, 0)] = 12.48 for eps ~ N(0, 30^2), so the mean path
-        # crosses 500 on day 41 (the trend alone: day 501, and an 1,844-day
-        # first block); this cell's golden hitting times are 37-68 days
-        assert simulate._block_plan(linear(1, 0, 30, clip_at_base=True), 500.0, 10_000) == (72, 16)
-        # two-point: (max(1 + 30, 0) + max(1 - 30, 0))/2 = 15.5, crossing on day 33
-        spec = linear(1, 0, 30, noise_law="two_point", clip_at_base=True)
-        assert simulate._block_plan(spec, 500.0, 10_000) == (56, 16)
-        # noiseless: max(mu, 0)
-        assert simulate._block_plan(linear(4, 0, 0, clip_at_base=True), 1000.0, 10_000) == (
-            251, simulate._MIN_BLOCK)
-        assert simulate._block_plan(linear(-1, 0, 0, clip_at_base=True), 500.0, 10_000) == (
-            simulate._MAX_BLOCK,) * 2
-
-    @pytest.mark.parametrize("mu", [-60.0, -5.0, 0.0, 1.0, 12.0, 90.0])
-    def test_clipped_gaussian_daily_mean(self, mu):
-        spec = linear(mu, 0, 20, clip_at_base=True)
-        expected = stats.norm(mu, 20).expect(lambda x: max(x, 0.0), lb=0.0)
-        assert simulate._daily_mean(spec, np.array([1.0]))[0] == pytest.approx(expected, rel=1e-9, abs=1e-300)
+            assert simulate._block_plan(seasonal(a, b, sigma), tau) == plan
 
     def test_first_block_ends_two_sd_past_the_mean_crossing(self):
         # mean path 4n crosses 1000 on day 251; s = 20*sqrt(251)/4 = 79.2
-        assert simulate._block_plan(linear(4, 0, 20), 1000.0, 10_000) == (410, 80)
+        assert simulate._block_plan(linear(4, 0, 20), 1000.0) == (410, 80)
 
-    def test_block_bounds(self):
+    def test_block_bounds(self, monkeypatch):
         # noiseless: later blocks are never shorter than _MIN_BLOCK
-        assert simulate._block_plan(linear(4, 0, 0), 1000.0, 10_000) == (251, simulate._MIN_BLOCK)
+        assert simulate._block_plan(linear(4, 0, 0), 1000.0) == (251, simulate._MIN_BLOCK)
         # mean path 0.5n crosses on day 2001 with s = 1789.3: the first block
         # is capped
-        assert simulate._block_plan(linear(0.5, 0, 20), 1000.0, 10_000) == (simulate._MAX_BLOCK, 1790)
+        assert simulate._block_plan(linear(0.5, 0, 20), 1000.0) == (simulate._MAX_BLOCK, 1790)
         # no mean crossing within the horizon: every block is the largest
-        assert simulate._block_plan(linear(0.01, 0, 0), 1000.0, 100) == (simulate._MAX_BLOCK,) * 2
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 100)
+        assert simulate._block_plan(linear(0.01, 0, 0), 1000.0) == (simulate._MAX_BLOCK,) * 2
         # the mean path 0.25n first exceeds 1024 on day 4097, one day past
-        # the first _MAX_BLOCK days it is summed over
+        # the first _MAX_BLOCK days
         spec = linear(0.25, 0, 0)
-        assert simulate._block_plan(spec, 1024.0, 4096) == (simulate._MAX_BLOCK,) * 2
-        assert simulate._block_plan(spec, 1024.0, 4097) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 4096)
+        assert simulate._block_plan(spec, 1024.0) == (simulate._MAX_BLOCK,) * 2
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 4097)
+        assert simulate._block_plan(spec, 1024.0) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -351,8 +321,7 @@ class TestBlockPlan:
     )
     @example(case=0, first=1, later=1, edge_row=None)
     @example(case=1, first=1, later=1, edge_row=None)
-    @example(case=2, first=1, later=1, edge_row=None)
-    @example(case=3, first=256, later=256, edge_row=None)
+    @example(case=2, first=256, later=256, edge_row=None)
     def test_hitting_times_do_not_depend_on_the_plan(self, case, first, later, edge_row):
         # day k is the stream's k-th draw and Z_n the sequential sum whatever
         # the block lengths; with edge_row set, that row crosses on the last
@@ -393,16 +362,17 @@ class TestBulkSeeding:
         assert got == [simulate.substream(7, 3, i).bit_generator.state
                        for i in range(start, start + 4)]
 
-    def test_two_point_rows_start_with_empty_buffer(self):
+    def test_two_point_rows_start_with_empty_buffer(self, monkeypatch):
         # a row that draws an odd number of days from 32-bit halves leaves
         # one buffered in its generator; the next chunk reuses the generators
         # of rows 0 and 1 and must not read a stale half
-        spec, tau, horizon = linear(1, 0, 3, noise_law="two_point"), 250.0, 513
-        plan = simulate._block_plan(spec, tau, horizon)
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 513)
+        spec, tau = linear(1, 0, 3, noise_law="two_point"), 250.0
+        plan = simulate._block_plan(spec, tau)
         n = simulate._CHUNK + 2
-        times = simulate.simulate_hitting_times(spec, tau, n, seed=6, cell=2, max_horizon=horizon)
-        assert any(_rows_drawn(int(nu), plan, horizon) % 2 for nu in times[:2])
-        loop = [_one_path_hitting_time(spec, tau, simulate.substream(6, 2, i), horizon)
+        times = simulate.simulate_hitting_times(spec, tau, n, seed=6, cell=2)
+        assert any(_rows_drawn(int(nu), plan) % 2 for nu in times[:2])
+        loop = [_one_path_hitting_time(spec, tau, simulate.substream(6, 2, i))
                 for i in range(n)]
         assert times.tolist() == loop
 
@@ -449,7 +419,7 @@ class TestRunSimulation1:
         assert res.sd == pytest.approx(float(res.hitting_times.std(ddof=1)))
         assert res.replicate_count == 500 == len(res.hitting_times)
         assert np.all(res.hitting_times >= 1)
-        assert np.all(res.hitting_times <= res.max_horizon)
+        assert np.all(res.hitting_times <= simulate.MAX_HORIZON)
 
     def test_z_standardized_against_matching_regime(self):
         res = simulate.run_simulation_1(4, 0.1, 2000, replicates=400, seed=8)
