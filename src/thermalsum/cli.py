@@ -1,21 +1,25 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
-Exit codes: 0 success, 1 check failure, 2 usage error or malformed or
-unreadable input file, 3 missing data.
+Exit codes: 0 success, 1 check failure, 2 usage error, malformed or
+unreadable input file, or an output that cannot be written, 3 missing data.
 Outputs land under a run directory named by subcommand (plus seed for
 stochastic targets); reruns with the same seed and flags are byte-identical.
+Each run is written into a hidden sibling and moved into place only when
+complete, so a failed or interrupted run leaves an earlier one as it was.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Callable
 
 import click
-import numpy as np
 
 from . import checks, data_io, fitting, model, reference, simulate
 from .errors import ParameterError, ThermalSumError
@@ -64,48 +68,50 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
         raise click.UsageError(str(exc))
 
 
-def _run_dir(out: Path, target: str, seed: int | None, force: bool) -> Path:
-    name = target if seed is None else f"{target}-seed{seed}"
-    run = out / name
-    if run.is_dir() and any(run.iterdir()):
-        if not force:
+def _write(run: Path, name: str, text: str | list[str]) -> None:
+    """Write one artifact (text, or lines joined with LF) into run, UTF-8 with LF endings."""
+    if not isinstance(text, str):
+        text = "\n".join(text) + "\n"
+    (run / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _publish(run: Path, force: bool, target: Callable[[Path], tuple[str, list[checks.Check]]]) -> tuple[str, list[checks.Check]]:
+    """Run target into a fresh hidden sibling of run and move it into place once complete.
+
+    target writes each artifact into the directory it is given and returns its
+    summary and checks. An earlier run is set aside only at the swap and deleted
+    after it; until the new run is in place, any failure leaves it as it was.
+    """
+    try:  # listed even under --force, so a file at run's path fails before any work
+        if any(run.iterdir()) and not force:
             raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
-        # a forced rerun replaces the directory: no earlier output stays beside it
-        shutil.rmtree(run)
+    except FileNotFoundError:
+        pass
+    run.parent.mkdir(parents=True, exist_ok=True)
+    # a sibling, so that os.replace stays on one filesystem
+    stage = Path(tempfile.mkdtemp(prefix=f".{run.name}.", dir=run.parent))
+    new, old = stage / "new", stage / "old"
     try:
-        run.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        # e.g. a file already sits at the run directory's path
-        raise click.UsageError(f"cannot create run directory {run}: {exc.strerror}") from None
-    return run
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _finish_checks(all_checks: list[checks.Check], enabled: bool) -> None:
-    if not enabled:
-        return
-    failed = 0
-    for c in all_checks:
-        status = "PASS" if c.ok else "FAIL"
-        click.echo(f"CHECK {status} {c.name}: {c.detail}")
-        failed += not c.ok
-    if failed:
-        click.echo(f"{failed} of {len(all_checks)} checks failed")
-        sys.exit(1)
-    click.echo(f"all {len(all_checks)} checks passed")
+        new.mkdir()
+        result = target(new)
+        if run.exists():
+            os.replace(run, old)
+        os.replace(new, run)
+    finally:
+        if old.exists() and new.exists():  # set aside, but the new run is not in place
+            os.replace(old, run)
+        shutil.rmtree(stage)
+    return result
 
 
 @main.command()
 @click.argument("target", type=click.Choice(["sim1", "sim2", "walnut", "lilac-bins"]))
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed (required for stochastic targets).")
-@click.option("--r", "replicates", type=int, default=simulate.DEFAULT_REPLICATES, show_default=True, help="Replicates per grid cell.")
+@click.option("--r", "replicates", type=click.IntRange(min=2), default=simulate.DEFAULT_REPLICATES, show_default=True, help="Replicates per grid cell.")
 # accepted for compatibility with older command lines; simulation is serial
 @click.option("--threads", type=click.IntRange(min=1), default=1, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs"), show_default=True, help="Root directory for run outputs.")
-@click.option("--force", is_flag=True, help="Replace an existing run directory: its old contents are deleted first.")
+@click.option("--force", is_flag=True, help="Replace an existing run directory, once the new run is complete.")
 @click.option("--check", "check_mode", is_flag=True, help="Verify outputs against the reference tolerances; exit 1 on failure.")
 @click.option("--raw", "write_raw", is_flag=True, help="Also write raw hitting times (sim1).")
 @click.option("--data-dir", type=click.Path(path_type=Path), default=None, help=f"Directory with pre-downloaded data [default: ${DATA_DIR_ENV} or ./data].")
@@ -129,62 +135,70 @@ def reproduce(
     grids from pre-downloaded observational data (exits 3 without data or
     when fewer than 4 observations join a complete station-year; with
     --check and no data, runs the synthetic binning pipeline instead).
-    Simulations run serially. Exit codes: 0 success, 1 check failure, 2 usage
-    error or malformed or unreadable input file, 3 missing data.
+    Simulations run serially; a run is moved into place only when complete.
+    Exit codes: 0 success, 1 check failure, 2 usage error, malformed or
+    unreadable input file, or an output that cannot be written, 3 missing data.
     """
-    if replicates < 2:
-        raise click.UsageError(f"--r must be >= 2, got {replicates}")
     if target in ("sim1", "sim2") and seed is None:
         raise click.UsageError(f"--seed is required for {target}")
+    run = out / f"{target}-seed{seed}"
     try:
         if target == "sim1":
-            _reproduce_sim1(seed, replicates, out, force, check_mode, write_raw)
+            make = functools.partial(_sim1, seed, replicates, write_raw)
         elif target == "sim2":
-            _reproduce_sim2(seed, replicates, out, force, check_mode)
+            make = functools.partial(_sim2, seed, replicates)
         elif target == "walnut":
-            _reproduce_walnut(out, force, check_mode)
+            run, make = out / target, _walnut
+        elif (rows := _lilac_rows(seed, check_mode, data_dir, units)) is None:
+            make = functools.partial(_lilac_synthetic, seed, replicates)
         else:
-            _reproduce_lilac_bins(seed, replicates, out, force, check_mode, data_dir, units)
+            run, make = out / target, functools.partial(_lilac_bins, rows, check_mode)
+        summary, found = _publish(run, force, make)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
+    except MemoryError:
+        raise click.UsageError(f"out of memory; is --r {replicates} too large?") from None
+    except OSError as exc:
+        raise click.UsageError(f"cannot write run directory {run}: {exc.strerror}") from None
+    click.echo(f"{summary} -> {run}")
+    if not check_mode:
+        return
+    for c in found:
+        click.echo(f"CHECK {'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}")
+    if failed := sum(not c.ok for c in found):
+        click.echo(f"{failed} of {len(found)} checks failed")
+        sys.exit(1)
+    click.echo(f"all {len(found)} checks passed")
 
 
-def _reproduce_sim1(
-    seed: int, replicates: int, out: Path, force: bool, check_mode: bool, write_raw: bool
-) -> None:
-    run = _run_dir(out, "sim1", seed, force)
+def _sim1(seed: int, replicates: int, write_raw: bool, run: Path) -> tuple[str, list[checks.Check]]:
     grid = simulate.run_grid(
         seed, simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS, replicates=replicates
     )
     for (a, b, tau), res in grid.cells.items():
         tag = f"a{a:g}_b{b:g}_tau{tau:g}"
         if res.z_values is not None:
-            _write_lines(run / f"hist_{tag}.csv", simulate.histogram_csv_rows(res.z_values))
+            _write(run, f"hist_{tag}.csv", simulate.histogram_csv_rows(res.z_values))
         if write_raw:
-            _write_lines(run / f"raw_{tag}.txt", [str(int(t)) for t in res.hitting_times])
-    _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid))
-    click.echo(f"sim1: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
+            _write(run, f"raw_{tag}.txt", [str(int(t)) for t in res.hitting_times])
+    _write(run, "summary.csv", simulate.summary_csv_rows(grid))
+    found = checks.sim1_ks_checks(grid) + [checks.sim1_improvement_check(grid)]
+    return (f"sim1: {len(grid.cells)} grid cells x {replicates} replicates",
+            found + checks.winter_agreement_checks(grid))
 
-    all_checks = checks.sim1_ks_checks(grid) + [checks.sim1_improvement_check(grid)]
-    _finish_checks(all_checks + checks.winter_agreement_checks(grid), check_mode)
 
-
-def _reproduce_sim2(
-    seed: int, replicates: int, out: Path, force: bool, check_mode: bool
-) -> None:
-    run = _run_dir(out, "sim2", seed, force)
+def _sim2(seed: int, replicates: int, run: Path) -> tuple[str, list[checks.Check]]:
     grid = simulate.run_grid(
         seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, simulate.SIM2_TAUS,
         breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=replicates,
     )
-    (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
-    _write_lines(run / "summary.csv", simulate.summary_csv_rows(grid))
-    click.echo(f"sim2: {len(grid.cells)} grid cells x {replicates} replicates -> {run}")
-    _finish_checks(checks.sim2_mean_checks(grid) + checks.sim2_sd_checks(grid), check_mode)
+    _write(run, "tables.txt", grid.format_tables())
+    _write(run, "summary.csv", simulate.summary_csv_rows(grid))
+    return (f"sim2: {len(grid.cells)} grid cells x {replicates} replicates",
+            checks.sim2_mean_checks(grid) + checks.sim2_sd_checks(grid))
 
 
-def _reproduce_walnut(out: Path, force: bool, check_mode: bool) -> None:
-    run = _run_dir(out, "walnut", None, force)
+def _walnut(run: Path) -> tuple[str, list[checks.Check]]:
     obs = fitting.load_walnut_observations()
     fit = fitting.fit_winter_wls(obs)
     lines = [
@@ -193,30 +207,13 @@ def _reproduce_walnut(out: Path, force: bool, check_mode: bool) -> None:
         "",
         f"{'alpha':>6} {'n':>4} {'mean':>8} {'sd':>8} {'fit_mean':>9} {'fit_sd':>8}",
     ]
-    for i, o in enumerate(obs):
-        lines.append(
-            f"{o.alpha:>6g} {o.n:>4d} {o.mean_days:>8.2f} {o.sd_days:>8.2f} "
-            f"{fit.fitted_means[i]:>9.2f} {fit.fitted_sds[i]:>8.2f}"
-        )
-    _write_lines(run / "fit.txt", lines)
     csv_lines = ["alpha,n,mean_obs,sd_obs,mean_fit,sd_fit"]
-    for i, o in enumerate(obs):
-        csv_lines.append(
-            f"{o.alpha:.6g},{o.n},{o.mean_days:.6g},{o.sd_days:.6g},"
-            f"{fit.fitted_means[i]:.6g},{fit.fitted_sds[i]:.6g}"
-        )
-    _write_lines(run / "fit.csv", csv_lines)
-    click.echo(
-        f"walnut: tau_hat={fit.tau_hat:.4g}, sigma_hat={fit.sigma_hat:.4g} -> {run}"
-    )
-    _finish_checks(checks.walnut_checks(fit), check_mode)
-
-
-def _resolve_data_dir(data_dir: Path | None) -> Path:
-    if data_dir is not None:
-        return data_dir
-    env = os.environ.get(DATA_DIR_ENV)
-    return Path(env) if env else Path("data")
+    for o, mean, sd in zip(obs, fit.fitted_means, fit.fitted_sds):
+        lines.append(f"{o.alpha:>6g} {o.n:>4d} {o.mean_days:>8.2f} {o.sd_days:>8.2f} {mean:>9.2f} {sd:>8.2f}")
+        csv_lines.append(f"{o.alpha:.6g},{o.n},{o.mean_days:.6g},{o.sd_days:.6g},{mean:.6g},{sd:.6g}")
+    _write(run, "fit.txt", lines)
+    _write(run, "fit.csv", csv_lines)
+    return f"walnut: tau_hat={fit.tau_hat:.4g}, sigma_hat={fit.sigma_hat:.4g}", checks.walnut_checks(fit)
 
 
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> str:
@@ -233,11 +230,11 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> str:
     return f"{path}: {exc}"
 
 
-def _reproduce_lilac_bins(
-    seed: int | None, replicates: int, out: Path, force: bool,
-    check_mode: bool, data_dir: Path | None, units: str,
-) -> None:
-    root = _resolve_data_dir(data_dir)
+def _lilac_rows(
+    seed: int | None, check_mode: bool, data_dir: Path | None, units: str
+) -> list[data_io.AnalysisRow] | None:
+    """The joined lilac rows; None when --check runs the synthetic pipeline for want of data."""
+    root = data_dir if data_dir is not None else Path(os.environ.get(DATA_DIR_ENV) or "data")
     phen_path = root / PHENOLOGY_FILENAME
     temp_path = root / TEMPERATURE_FILENAME
     if not (phen_path.exists() and temp_path.exists()):
@@ -249,8 +246,8 @@ def _reproduce_lilac_bins(
             sys.exit(3)
         if seed is None:
             raise click.UsageError("--seed is required for the synthetic binning check")
-        _lilac_synthetic_fallback(seed, replicates, out, force)
-        return
+        click.echo("lilac data not found; running the synthetic binning pipeline check")
+        return None
 
     # phenology first: the temperature parse keeps only the rows its join can read
     path = phen_path
@@ -278,31 +275,34 @@ def _reproduce_lilac_bins(
                else "no observation joined a complete station-year")
         click.echo(f"missing data: {why} (see docs/DATA.md); nothing written")
         sys.exit(3)
-    run = _run_dir(out, "lilac-bins", None, force)
-    data_io.write_analysis_rows(rows, run / "analysis_rows.csv")
+    return rows
+
+
+def _lilac_bins(rows: list[data_io.AnalysisRow], check_mode: bool, run: Path) -> tuple[str, list[checks.Check]]:
+    _write(run, "analysis_rows.csv", data_io.analysis_rows_csv(rows))
     triples = [(r.alpha_hat, r.beta_hat, float(r.bloom_doy)) for r in rows]
     grid = fitting.bin_location_scale(triples, k=_LILAC_BINS)
-    (run / "tables.txt").write_text(grid.format_tables(), encoding="utf-8", newline="\n")
-    _write_lines(run / "grid.csv", fitting.grid_csv_rows(grid))
-    click.echo(f"lilac-bins -> {run}")
-    if check_mode:
-        ref_grid = fitting.bin_location_scale(
-            triples,
-            alpha_edges=reference.LILAC_ALPHA_EDGES,
-            beta_edges=reference.LILAC_BETA_EDGES,
-        )
-        _finish_checks(checks.lilac_grid_checks(ref_grid), True)
+    _write(run, "tables.txt", grid.format_tables())
+    _write(run, "grid.csv", fitting.grid_csv_rows(grid))
+    if not check_mode:
+        return "lilac-bins", []
+    ref_grid = fitting.bin_location_scale(
+        triples, alpha_edges=reference.LILAC_ALPHA_EDGES, beta_edges=reference.LILAC_BETA_EDGES,
+    )
+    click.echo(
+        f"lilac-bins reference edges: {ref_grid.clamped} alpha/beta values clamped into boundary "
+        f"bins; degenerate alpha={ref_grid.degenerate_alpha} beta={ref_grid.degenerate_beta}"
+    )
+    return "lilac-bins", checks.lilac_grid_checks(ref_grid)
 
 
-def _lilac_synthetic_fallback(seed: int, replicates: int, out: Path, force: bool) -> None:
+def _lilac_synthetic(seed: int, replicates: int, run: Path) -> tuple[str, list[checks.Check]]:
     """End-to-end binning pipeline on seasonal-simulation output.
 
     Used by --check when the observational data are not on disk: hit days
     from the seasonal grid at reference.SYNTHETIC_TAU are binned at their
     true (alpha, beta) and the cell means must land on the reference grid.
     """
-    click.echo("lilac data not found; running the synthetic binning pipeline check")
-    run = _run_dir(out, "lilac-bins", seed, force)
     grid = simulate.run_grid(
         seed, simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, (reference.SYNTHETIC_TAU,),
         breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=replicates,
@@ -314,10 +314,9 @@ def _lilac_synthetic_fallback(seed: int, replicates: int, out: Path, force: bool
         triples, alpha_edges=reference.SYNTHETIC_ALPHA_EDGES,
         beta_edges=reference.SYNTHETIC_BETA_EDGES,
     )
-    (run / "tables.txt").write_text(binned.format_tables(), encoding="utf-8", newline="\n")
-    _write_lines(run / "grid.csv", fitting.grid_csv_rows(binned))
-    click.echo(f"lilac-bins (synthetic) -> {run}")
-    _finish_checks(checks.synthetic_binning_checks(binned), True)
+    _write(run, "tables.txt", binned.format_tables())
+    _write(run, "grid.csv", fitting.grid_csv_rows(binned))
+    return "lilac-bins (synthetic)", checks.synthetic_binning_checks(binned)
 
 
 if __name__ == "__main__":

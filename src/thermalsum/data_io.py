@@ -506,11 +506,8 @@ def build_analysis_rows(
     return rows, diag
 
 
-def write_analysis_rows(rows: Iterable[AnalysisRow], path: str | Path) -> None:
-    """Emit joined rows as CSV (floats at 6 significant digits, LF endings)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(ANALYSIS_HEADER) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.site_id},{r.year},{r.alpha_hat:.6g},{r.beta_hat:.6g},{r.bloom_doy}\n"
-            )
+def analysis_rows_csv(rows: Iterable[AnalysisRow]) -> str:
+    """Joined rows as CSV text (floats at 6 significant digits, LF endings)."""
+    lines = [",".join(ANALYSIS_HEADER)]
+    lines += [f"{r.site_id},{r.year},{r.alpha_hat:.6g},{r.beta_hat:.6g},{r.bloom_doy}" for r in rows]
+    return "\n".join(lines) + "\n"

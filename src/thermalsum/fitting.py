@@ -58,13 +58,8 @@ class WinterFit:
 
     tau_hat: float
     sigma_hat: float
-    alphas: tuple[float, ...]
-    observed_means: tuple[float, ...]
-    observed_sds: tuple[float, ...]
     fitted_means: tuple[float, ...]
     fitted_sds: tuple[float, ...]
-    mean_weights: tuple[float, ...]
-    variance_weights: tuple[float, ...]
     r_squared_weighted: float
 
 
@@ -99,13 +94,8 @@ def fit_winter_wls(observations: Sequence[ForcingObservation]) -> WinterFit:
     return WinterFit(
         tau_hat=tau_hat,
         sigma_hat=float(np.sqrt(sigma2_hat)),
-        alphas=tuple(alpha),
-        observed_means=tuple(mean),
-        observed_sds=tuple(np.sqrt(var)),
         fitted_means=tuple(fitted_means),
         fitted_sds=tuple(fitted_sds),
-        mean_weights=tuple(w),
-        variance_weights=tuple(u),
         r_squared_weighted=r2,
     )
 

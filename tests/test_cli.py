@@ -1,6 +1,8 @@
 import datetime
+import errno
 import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from station_csv import StationRecord, write_temperature_csv
 import thermalsum
-from thermalsum import regimes
+from thermalsum import fitting, regimes, simulate
 from thermalsum.cli import main
 
 
@@ -248,11 +250,13 @@ class TestReproduceWalnut:
         assert "all " in result.output and "checks passed" in result.output
 
 
-def _write_lilac_fixture(root):
+def _write_lilac_fixture(root, alpha_shift=None):
+    # alpha_shift: {(station_id, year): degC added to that station-year's winter mean}
     root.mkdir(parents=True, exist_ok=True)
     records = []
-    for sid, lat, alpha in [("ST1", 40.0, 3.0), ("ST2", 42.0, 6.0)]:
+    for sid, lat, base in [("ST1", 40.0, 3.0), ("ST2", 42.0, 6.0)]:
         for year in (2020, 2021):
+            alpha = base + (alpha_shift or {}).get((sid, year), 0.0)
             aw_stop = regimes.alpha_window(year).stop
             bw = regimes.beta_window(year)
             for doy in range(1, bw.stop + 1):
@@ -295,6 +299,19 @@ class TestReproduceLilacBins:
         assert len(rows) == 5  # 4 observations all matched
         assert (run / "grid.csv").exists()
         assert (run / "tables.txt").exists()
+
+    def test_check_reports_values_clamped_on_the_reference_edges(self, runner, tmp_path):
+        # a winter mean of 20 degC lies above the top published alpha edge, 16.4
+        _write_lilac_fixture(tmp_path / "data", alpha_shift={("ST2", 2021): 14.0})
+        args = ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+                "--data-dir", str(tmp_path / "data")]
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0, plain.output
+        assert "clamped" not in plain.output
+        result = runner.invoke(main, args + ["--check", "--force"])
+        assert "lilac-bins reference edges: 1 alpha/beta values clamped into boundary bins; " \
+               "degenerate alpha=False beta=False" in result.output
+        assert result.exit_code == 1  # four rows leave most published bins empty
 
     def test_data_dir_env_fallback(self, runner, tmp_path, monkeypatch):
         _write_lilac_fixture(tmp_path / "envdata")
@@ -543,6 +560,8 @@ def test_lilac_bins_keeps_its_exit_code_contract(tmp_path_factory, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     run = root / "runs" / "lilac-bins"
     assert not run.exists() or {p.name for p in run.iterdir()} == _LILAC_OUTPUTS
+    # and no staging directory is left beside it
+    assert not run.parent.exists() or [p.name for p in run.parent.iterdir()] == [run.name]
 
 
 class TestUsageValidation:
@@ -557,6 +576,16 @@ class TestUsageValidation:
             main, ["reproduce", "sim2", "--seed", "1", "--r", "1", "--out", str(tmp_path)]
         )
         assert result.exit_code == 2
+
+    def test_replicates_beyond_memory_exit_2_without_run_dir(self, runner, tmp_path):
+        # 10^14 hitting times need 728 TiB, past any address space: allocation fails at once
+        result = runner.invoke(
+            main, ["reproduce", "sim2", "--seed", "1", "--r", str(10**14), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"--r {10**14}" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_exits_2_without_run_dir(self, runner, tmp_path):
         result = runner.invoke(
@@ -581,6 +610,77 @@ class TestUsageValidation:
     def test_help_available_everywhere(self, runner):
         for args in (["--help"], ["approx", "--help"], ["reproduce", "--help"]):
             assert runner.invoke(main, args).exit_code == 0
+
+
+def _target_args(target, root):
+    """Arguments of a small run of target under root/runs; lilac-bins gets a data fixture."""
+    args = {
+        "sim1": ["sim1", "--seed", "7", "--r", "20", "--raw"],
+        "sim2": ["sim2", "--seed", "7", "--r", "20"],
+        "walnut": ["walnut"],
+        "lilac-bins": ["lilac-bins"],
+        # no data under --data-dir: --check runs the synthetic pipeline
+        "synthetic": ["lilac-bins", "--check", "--seed", "7", "--r", "20"],
+    }[target]
+    if target == "lilac-bins":
+        _write_lilac_fixture(root / "data")
+    return ["reproduce", *args, "--out", str(root / "runs"), "--data-dir", str(root / "data")]
+
+
+def _raise_on_call(func, n, exc):
+    """func, except that its n-th call raises exc instead."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == n:
+            raise exc
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def _earlier_run(runner, root, args):
+    """A complete run made by args, marked so that no rerun could reproduce it."""
+    first = runner.invoke(main, args)
+    assert first.exit_code in (0, 1), first.output  # the synthetic check may fail at R = 20
+    (run,) = (root / "runs").iterdir()
+    (run / "earlier.txt").write_text("kept from the earlier run\n", encoding="utf-8")
+    return run, {p.name: p.read_bytes() for p in run.iterdir()}
+
+
+# where each target's computation is interrupted: inside the grid runner, or the step that
+# has no grid (walnut's fit; the lilac binning, after analysis_rows.csv is written)
+_COMPUTE = {"sim1": (simulate, "run_grid"), "sim2": (simulate, "run_grid"),
+            "synthetic": (simulate, "run_grid"), "walnut": (fitting, "fit_winter_wls"),
+            "lilac-bins": (fitting, "bin_location_scale")}
+
+
+class TestStagedRunDirectory:
+    @pytest.mark.parametrize("where", ["compute", "swap"])
+    @pytest.mark.parametrize("target", sorted(_COMPUTE))
+    def test_interrupted_forced_rerun_keeps_earlier_run(self, runner, tmp_path, monkeypatch,
+                                                        target, where):
+        args = _target_args(target, tmp_path)
+        run, before = _earlier_run(runner, tmp_path, args)
+        # the swap's second os.replace moves the new run into place
+        module, name = _COMPUTE[target] if where == "compute" else (os, "replace")
+        n = 1 if where == "compute" else 2
+        monkeypatch.setattr(module, name, _raise_on_call(getattr(module, name), n, KeyboardInterrupt()))
+        result = runner.invoke(main, args + ["--force"])
+        assert result.exit_code == 1, result.output  # click's "Aborted!"
+        assert [p.name for p in run.parent.iterdir()] == [run.name]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("target", ["sim2", "walnut"])
+    def test_failed_write_exits_2_and_keeps_earlier_run(self, runner, tmp_path, monkeypatch, target):
+        args = _target_args(target, tmp_path)
+        run, before = _earlier_run(runner, tmp_path, args)
+        full = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", _raise_on_call(Path.write_text, 2, full))
+        result = runner.invoke(main, args + ["--force"])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write run directory {run}: No space left on device" in result.output
+        assert [p.name for p in run.parent.iterdir()] == [run.name]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

@@ -639,11 +639,9 @@ class TestJoinFilter:
 
 
 class TestWriters:
-    def test_analysis_rows_format(self, tmp_path):
+    def test_analysis_rows_format(self):
         rows = [data_io.AnalysisRow("L1", 2021, 3.0123456789, 0.2512345, 130)]
-        path = tmp_path / "rows.csv"
-        data_io.write_analysis_rows(rows, path)
-        text = path.read_text(encoding="utf-8")
+        text = data_io.analysis_rows_csv(rows)
         assert text.splitlines()[0] == "site,year,alpha,beta,bloom_doy"
         assert text.splitlines()[1] == "L1,2021,3.01235,0.251235,130"
         assert "\r" not in text

@@ -47,19 +47,22 @@ class TestFitWinterWls:
         assert fit.r_squared_weighted == pytest.approx(0.9617453958467164, rel=1e-9)
 
     def test_fitted_curves_strictly_decreasing(self):
-        fit = fitting.fit_winter_wls(fitting.load_walnut_observations())
+        obs = fitting.load_walnut_observations()
+        fit = fitting.fit_winter_wls(obs)
         assert all(x > y for x, y in zip(fit.fitted_means, fit.fitted_means[1:]))
         assert all(x > y for x, y in zip(fit.fitted_sds, fit.fitted_sds[1:]))
         # mirrors the observed sd decay from 27.28 down to 4.45
-        assert fit.observed_sds[0] > fit.observed_sds[-1]
+        assert obs[0].sd_days > obs[-1].sd_days
 
     def test_residual_orthogonality(self):
-        fit = fitting.fit_winter_wls(fitting.load_walnut_observations())
-        alphas = np.array(fit.alphas)
-        w = np.array(fit.mean_weights)
-        resid = np.array(fit.observed_means) - fit.tau_hat / alphas
+        obs = fitting.load_walnut_observations()
+        fit = fitting.fit_winter_wls(obs)
+        alphas = np.array([o.alpha for o in obs])
+        means = np.array([o.mean_days for o in obs])
+        w = np.array([o.n for o in obs]) * alphas**3  # the stage-1 weights n*alpha^3
+        resid = means - fit.tau_hat / alphas
         dot = float(np.sum(w * (1 / alphas) * resid))
-        scale = float(np.sum(np.abs(w * (1 / alphas) * np.array(fit.observed_means))))
+        scale = float(np.sum(np.abs(w * (1 / alphas) * means)))
         assert abs(dot) / scale < 1e-9
 
     def test_scale_equivariance(self):
