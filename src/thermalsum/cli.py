@@ -1,11 +1,11 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, malformed or
-unreadable input file, or an output that cannot be written, 3 missing data.
-Outputs land under a run directory named by subcommand (plus seed for
-stochastic targets); reruns with the same seed and flags are byte-identical.
-Each run is written into a hidden sibling and moved into place only when
-complete, so a failed or interrupted run leaves an earlier one as it was.
+unreadable input file, or an output that cannot be written, 3 missing data,
+130 interrupted. Outputs land under a run directory named by subcommand (plus
+seed for stochastic targets); reruns with the same seed and flags are
+byte-identical. Each run is written into a hidden sibling and moved into place
+only when complete, so a failed or interrupted run leaves an earlier one as it was.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def _write(run: Path, name: str, text: str | list[str]) -> None:
     (run / name).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _refuse_rerun(run: Path, force: bool) -> None:
+    """Usage error if run already has outputs and force is not set."""
+    try:  # listed even under --force, so a file at run's path fails before any work
+        if any(run.iterdir()) and not force:
+            raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
+    except FileNotFoundError:
+        pass
+
+
 def _publish(run: Path, force: bool, target: Callable[[Path], tuple[str, list[checks.Check]]]) -> tuple[str, list[checks.Check]]:
     """Run target into a fresh hidden sibling of run and move it into place once complete.
 
@@ -82,11 +91,7 @@ def _publish(run: Path, force: bool, target: Callable[[Path], tuple[str, list[ch
     summary and checks. An earlier run is set aside only at the swap and deleted
     after it; until the new run is in place, any failure leaves it as it was.
     """
-    try:  # listed even under --force, so a file at run's path fails before any work
-        if any(run.iterdir()) and not force:
-            raise click.UsageError(f"{run} already has outputs; pass --force to overwrite")
-    except FileNotFoundError:
-        pass
+    _refuse_rerun(run, force)
     run.parent.mkdir(parents=True, exist_ok=True)
     # a sibling, so that os.replace stays on one filesystem
     stage = Path(tempfile.mkdtemp(prefix=f".{run.name}.", dir=run.parent))
@@ -137,7 +142,8 @@ def reproduce(
     --check and no data, runs the synthetic binning pipeline instead).
     Simulations run serially; a run is moved into place only when complete.
     Exit codes: 0 success, 1 check failure, 2 usage error, malformed or
-    unreadable input file, or an output that cannot be written, 3 missing data.
+    unreadable input file, or an output that cannot be written, 3 missing data,
+    130 interrupted (Ctrl-C; an earlier run is kept).
     """
     if target in ("sim1", "sim2") and seed is None:
         raise click.UsageError(f"--seed is required for {target}")
@@ -149,10 +155,12 @@ def reproduce(
             make = functools.partial(_sim2, seed, replicates)
         elif target == "walnut":
             run, make = out / target, _walnut
-        elif (rows := _lilac_rows(seed, check_mode, data_dir, units)) is None:
+        elif (paths := _lilac_paths(seed, check_mode, data_dir)) is None:
             make = functools.partial(_lilac_synthetic, seed, replicates)
         else:
-            run, make = out / target, functools.partial(_lilac_bins, rows, check_mode)
+            run = out / target
+            _refuse_rerun(run, force)  # before either input is read
+            make = functools.partial(_lilac_bins, _lilac_rows(*paths, units), check_mode)
         summary, found = _publish(run, force, make)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
@@ -160,6 +168,9 @@ def reproduce(
         raise click.UsageError(f"out of memory; is --r {replicates} too large?") from None
     except OSError as exc:
         raise click.UsageError(f"cannot write run directory {run}: {exc.strerror}") from None
+    except KeyboardInterrupt:  # _publish has removed its stage, if it made one
+        click.echo("Aborted!", err=True)
+        sys.exit(130)
     click.echo(f"{summary} -> {run}")
     if not check_mode:
         return
@@ -230,10 +241,8 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> str:
     return f"{path}: {exc}"
 
 
-def _lilac_rows(
-    seed: int | None, check_mode: bool, data_dir: Path | None, units: str
-) -> list[data_io.AnalysisRow] | None:
-    """The joined lilac rows; None when --check runs the synthetic pipeline for want of data."""
+def _lilac_paths(seed: int | None, check_mode: bool, data_dir: Path | None) -> tuple[Path, Path] | None:
+    """The two input files; None when --check runs the synthetic pipeline for want of data."""
     root = data_dir if data_dir is not None else Path(os.environ.get(DATA_DIR_ENV) or "data")
     phen_path = root / PHENOLOGY_FILENAME
     temp_path = root / TEMPERATURE_FILENAME
@@ -248,7 +257,11 @@ def _lilac_rows(
             raise click.UsageError("--seed is required for the synthetic binning check")
         click.echo("lilac data not found; running the synthetic binning pipeline check")
         return None
+    return phen_path, temp_path
 
+
+def _lilac_rows(phen_path: Path, temp_path: Path, units: str) -> list[data_io.AnalysisRow]:
+    """The joined lilac rows; exits 3 when too few join to bin."""
     # phenology first: the temperature parse keeps only the rows its join can read
     path = phen_path
     try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,26 +108,15 @@ def _weighted_corr_sq(y: np.ndarray, yhat: np.ndarray, w: np.ndarray) -> float:
     return float((num / den) ** 2) if den > 0 else 1.0
 
 
-def read_forcing_csv(path: str | Path) -> list[ForcingObservation]:
-    """Read alpha,n,mean,sd rows into ForcingObservation records."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            ForcingObservation(
-                alpha=float(row["alpha"]),
-                n=int(row["n"]),
-                mean_days=float(row["mean"]),
-                sd_days=float(row["sd"]),
-            )
-            for row in reader
-        ]
-
-
 def load_walnut_observations() -> list[ForcingObservation]:
-    """Bundled summary rows of the walnut constant-forcing experiment."""
+    """Bundled alpha,n,mean,sd rows of the walnut constant-forcing experiment."""
     ref = importlib.resources.files("thermalsum").joinpath("data/walnut_forcing.csv")
-    with importlib.resources.as_file(ref) as path:
-        return read_forcing_csv(path)
+    with importlib.resources.as_file(ref) as path, open(path, newline="", encoding="utf-8") as fh:
+        return [
+            ForcingObservation(alpha=float(row["alpha"]), n=int(row["n"]),
+                               mean_days=float(row["mean"]), sd_days=float(row["sd"]))
+            for row in csv.DictReader(fh)
+        ]
 
 
 def quantile_bin_edges(values: Iterable[float], k: int = 4) -> np.ndarray:

@@ -15,19 +15,19 @@ day, and the later ones are one standard deviation long. numpy's Gaussian and
 two-point draws do not depend on how a stream is split into calls, so neither
 the chunk size nor the block lengths are part of the seed contract, and
 neither changes an output.
-The chunk's generators are seeded in bulk: the PCG64 states that
-SeedSequence((s, c, i)) would give are computed for many replicates at once
-and loaded into reused generators, so the contract and every output byte are
-unchanged. verify_stopping replays through SeedSequence itself, drawing each
-sampled path's nu days in one call, so every run checks the bulk seeding and
-the block plan against numpy's own draws.
+The chunk's generators are seeded in bulk: the four PCG64 seed words of
+SeedSequence((s, c, i)) are hashed for many replicates at once and handed to
+numpy's own PCG64 as an ISeedSequence, so the contract and every output byte
+are unchanged. verify_stopping replays through SeedSequence itself, drawing
+each sampled path's nu days in one call, so every run checks the bulk
+seeding and the block plan against numpy's own draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,16 +58,14 @@ _MAX_BLOCK = 4096
 # Larger chunks cost peak memory (up to _CHUNK x _MAX_BLOCK doubles per
 # matrix) for little speed.
 _CHUNK = 64
-# Replicates whose generator states are hashed together: larger slabs save
-# numpy calls per replicate, smaller ones hold fewer words at once.
+# Replicates whose seed words are hashed together: larger slabs save numpy
+# calls per replicate, smaller ones hold fewer words at once.
 _SLAB = 1024
 
-# SeedSequence's hash constants (NumPy's port of O'Neill's seed_seq, frozen by
-# NEP 19) and the PCG64 multiplier (O'Neill 2014).
+# SeedSequence's hash constants (NumPy's port of O'Neill's seed_seq; NEP 19 freezes them).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,6 @@ class SimulationResult:
     seed: int
     z_values: np.ndarray | None = None
     ks: float | None = None
-    theory: model.HittingTimeApprox | None = None
 
     @property
     def replicate_count(self) -> int:
@@ -166,15 +163,29 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[dict]:
-    """bit_generator.state of substream(seed, cell, i) for i in range(start, stop).
+class _Words:
+    """A replicate's four PCG64 seed words, served as numpy's ISeedSequence.
 
-    Runs SeedSequence's entropy mixing and generate_state(4, uint64) on uint32
-    arrays, one element per replicate and _SLAB replicates at a time, then
-    PCG64's two-step seeding on the four words, so no SeedSequence is built
-    per replicate. Array arithmetic wraps mod 2**32 as the reference's uint32
-    does. States are yielded one by one, so few are held at once.
+    PCG64 asks for generate_state(4, uint64); any other request raises.
     """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ValueError(f"seed words serve generate_state(4, uint64) only, not ({n_words}, {np.dtype(dtype)})")
+        return self.words
+
+
+def _substreams(seed: int, cell: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """substream(seed, cell, i) for i in range(start, stop), seeded in bulk.
+
+    SeedSequence's entropy mixing and generate_state(4, uint64) run on uint32
+    arrays, _SLAB replicates at a time, wrapping mod 2**32 as its uint32 does.
+    """
+    # registered here, not at import, so that importing the CLI leaves numpy.random unloaded
+    np.random.bit_generator.ISeedSequence.register(_Words)
     while start < stop:
         # replicate indices with the same number of words share one layout
         width = len(_words32(start))
@@ -194,11 +205,9 @@ def _substream_states(seed: int, cell: int, start: int, stop: int) -> Iterator[d
                 pool[dst] = _mix(pool[dst], _hashmix(word, next(hs), _MULT_A))
         hs = _hash_constants(_INIT_B, _MULT_B)
         words = np.stack([_hashmix(pool[k % 4], next(hs), _MULT_B) for k in range(8)], axis=1)
-        for s0, s1, s2, s3 in zip(*words.astype("<u4").view("<u8").T.tolist()):
-            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
+        # PCG64 reads each row's raw buffer: C-contiguous native uint64
+        for row in words.astype("<u4").view("<u8").astype(np.uint64, copy=False):
+            yield np.random.Generator(np.random.PCG64(_Words(row)))
         start = end
 
 
@@ -279,20 +288,16 @@ def _first_passage(
 
 
 def simulate_hitting_times(
-    spec: TemperatureProcessSpec,
-    tau: float,
-    replicates: int,
-    seed: int,
-    cell: int = 0,
+    spec: TemperatureProcessSpec, tau: float, replicates: int, seed: int, cell: int = 0
 ) -> np.ndarray:
     """Hitting times for `replicates` independent paths, in replicate order.
 
     Replicate i is the first day n with Z_n > tau on the path drawn from
     substream(seed, cell, i) alone, so identical (seed, cell) always yields
-    identical output. Replicates are drawn _CHUNK at a time from reused
-    generators loaded with the substream states, on one block plan for the
-    cell; neither changes any output. Raises HorizonExceeded if a path has
-    not crossed by day MAX_HORIZON.
+    identical output. Replicates are drawn _CHUNK at a time from generators
+    seeded in bulk by _substreams, on one block plan for the cell; neither
+    changes any output. Raises HorizonExceeded if a path has not crossed by
+    day MAX_HORIZON.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
@@ -300,15 +305,10 @@ def simulate_hitting_times(
         raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
     plan = _block_plan(spec, tau)
     out = np.empty(replicates, dtype=np.int64)
-    rngs = [np.random.default_rng() for _ in range(min(_CHUNK, replicates))]
-    states = _substream_states(seed, cell, 0, replicates)
+    rngs = _substreams(seed, cell, 0, replicates)
     for start in range(0, replicates, _CHUNK):
-        stop = min(start + _CHUNK, replicates)
-        chunk = rngs[: stop - start]
-        # a loaded state also empties the 32-bit buffer the two-point draw reads
-        for rng, state in zip(chunk, states):
-            rng.bit_generator.state = state
-        out[start:stop] = _first_passage(spec, tau, chunk, plan)
+        chunk = list(islice(rngs, _CHUNK))
+        out[start:start + len(chunk)] = _first_passage(spec, tau, chunk, plan)
     return out
 
 
@@ -375,11 +375,9 @@ def _run_cell(
         seed=seed,
     )
     if spec.breakpoint_day == 0 and spec.noise_sigma > 0:
-        params = model.RegimeParams(
-            alpha=spec.alpha, beta=spec.beta, sigma=spec.noise_sigma, tau=tau
-        )
-        result.theory = model.theory_approx(params)
-        result.z_values = (times - result.theory.mean) / result.theory.sd
+        params = model.RegimeParams(alpha=spec.alpha, beta=spec.beta, sigma=spec.noise_sigma, tau=tau)
+        theory = model.theory_approx(params)
+        result.z_values = (times - theory.mean) / theory.sd
         result.ks = ks_distance(result.z_values)
     return result
 

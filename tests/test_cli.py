@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from station_csv import StationRecord, write_temperature_csv
 import thermalsum
-from thermalsum import fitting, regimes, simulate
+from thermalsum import data_io, fitting, regimes, simulate
 from thermalsum.cli import main
 
 
@@ -312,6 +312,22 @@ class TestReproduceLilacBins:
         assert "lilac-bins reference edges: 1 alpha/beta values clamped into boundary bins; " \
                "degenerate alpha=False beta=False" in result.output
         assert result.exit_code == 1  # four rows leave most published bins empty
+
+    def test_rerun_without_force_exits_2_before_reading_inputs(self, runner, tmp_path, monkeypatch):
+        _write_lilac_fixture(tmp_path / "data")
+        args = ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+                "--data-dir", str(tmp_path / "data")]
+        assert runner.invoke(main, args).exit_code == 0
+        run = tmp_path / "runs" / "lilac-bins"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        for name in ("parse_phenology_csv", "parse_temperature_csv"):
+            monkeypatch.setattr(data_io, name, _raise_on_call(getattr(data_io, name), 1,
+                                                              AssertionError(f"{name} called")))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{run} already has outputs; pass --force to overwrite" in result.output
+        assert "rows from" not in result.output
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_data_dir_env_fallback(self, runner, tmp_path, monkeypatch):
         _write_lilac_fixture(tmp_path / "envdata")
@@ -666,7 +682,8 @@ class TestStagedRunDirectory:
         n = 1 if where == "compute" else 2
         monkeypatch.setattr(module, name, _raise_on_call(getattr(module, name), n, KeyboardInterrupt()))
         result = runner.invoke(main, args + ["--force"])
-        assert result.exit_code == 1, result.output  # click's "Aborted!"
+        assert result.exit_code == 130, result.output  # the shell's code for SIGINT
+        assert "Aborted!" in result.output
         assert [p.name for p in run.parent.iterdir()] == [run.name]
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
@@ -691,13 +708,18 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 class TestRuntimeDependencies:
-    def test_cli_import_loads_no_scipy(self):
-        proc = _fresh_python(
-            "import sys, thermalsum.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    @pytest.mark.parametrize("package", ["scipy", "numpy.random"])
+    def test_cli_import_loads_no_scipy(self, package):
+        # numpy.random is loaded lazily (numpy before 2.0 loads it on import
+        # itself), so the CLI may load only what a bare `import numpy` does
+        loaded = ("import sys, {}\n"
+                  f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
+        bare = _fresh_python(loaded.format("numpy"))
+        proc = _fresh_python(loaded.format("thermalsum.cli"))
+        assert bare.returncode == 0 and proc.returncode == 0, bare.stderr + proc.stderr
+        assert proc.stdout == bare.stdout
+        if package == "scipy":
+            assert proc.stdout.strip() == "[]"
 
     def test_sim1_and_its_checks_run_with_scipy_blocked(self):
         proc = _fresh_python(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from thermalsum import simulate
+from thermalsum import model, simulate
 from thermalsum.errors import HorizonExceeded, ParameterError
 
 
@@ -152,7 +152,7 @@ class TestBatchProperties:
         assert np.array_equal(a, b)
 
     def test_replicate_i_reads_substream_i(self):
-        # the last replicate is the first of a second slab of seeded states
+        # the last replicate is the first of a second slab of hashed seed words
         spec = seasonal(4, 0.4, 20)
         times = simulate.simulate_hitting_times(spec, 1000.0, simulate._SLAB + 1, seed=9, cell=3)
         for i in (0, 200, simulate._SLAB - 1, simulate._SLAB):
@@ -341,6 +341,19 @@ class TestBlockPlan:
         assert times.tolist() == expected
 
 
+def _assert_bulk_seeding_matches(seed, cell, start, stop):
+    # each generator's seed words are SeedSequence's PCG64 words, and numpy's
+    # PCG64 seeded from them is in substream's state
+    rngs = list(simulate._substreams(seed, cell, start, stop))
+    assert len(rngs) == stop - start
+    for i, rng in zip(range(start, stop), rngs):
+        words = rng.bit_generator.seed_seq.words
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        expected = np.random.SeedSequence((seed, cell, i)).generate_state(4, np.uint64)
+        assert words.tolist() == expected.tolist(), f"replicate {i}"
+        assert rng.bit_generator.state == simulate.substream(seed, cell, i).bit_generator.state
+
+
 class TestBulkSeeding:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -352,20 +365,28 @@ class TestBulkSeeding:
     @example(seed=2**128 - 1, cell=2**40 - 1, i=2**33 - 1)
     def test_states_equal_seed_sequence(self, seed, cell, i):
         # multi-word entropy runs SeedSequence's mixing past its 4-word pool
-        got = list(simulate._substream_states(seed, cell, i, i + 1))
-        assert got == [simulate.substream(seed, cell, i).bit_generator.state]
+        _assert_bulk_seeding_matches(seed, cell, i, i + 1)
 
     def test_range_across_word_boundary(self):
         # replicate indices from 2**32 on take two entropy words
         start = 2**32 - 2
-        got = list(simulate._substream_states(7, 3, start, start + 4))
-        assert got == [simulate.substream(7, 3, i).bit_generator.state
-                       for i in range(start, start + 4)]
+        _assert_bulk_seeding_matches(7, 3, start, start + 4)
+
+    @pytest.mark.parametrize(
+        "args", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64), (4,)],
+        ids=["uint32", "eight_words", "two_words", "int64", "default_dtype"],
+    )
+    def test_seed_words_refuse_any_other_request(self, args):
+        # a numpy whose PCG64 asked for other words would fail, not seed another stream
+        words = simulate._Words(np.arange(4, dtype=np.uint64))
+        assert words.generate_state(4, np.uint64) is words.words
+        with pytest.raises(ValueError, match=r"generate_state\(4, uint64\) only"):
+            words.generate_state(*args)
 
     def test_two_point_rows_start_with_empty_buffer(self, monkeypatch):
         # a row that draws an odd number of days from 32-bit halves leaves
-        # one buffered in its generator; the next chunk reuses the generators
-        # of rows 0 and 1 and must not read a stale half
+        # one buffered in its generator; no replicate of any chunk may start
+        # by reading a half left by another
         monkeypatch.setattr(simulate, "MAX_HORIZON", 513)
         spec, tau = linear(1, 0, 3, noise_law="two_point"), 250.0
         plan = simulate._block_plan(spec, tau)
@@ -423,8 +444,11 @@ class TestRunSimulation1:
 
     def test_z_standardized_against_matching_regime(self):
         res = simulate.run_simulation_1(4, 0.1, 2000, replicates=400, seed=8)
-        assert res.theory is not None
-        z_expected = (res.hitting_times - res.theory.mean) / res.theory.sd
+        assert res.z_values is not None
+        theory = model.theory_approx(
+            model.RegimeParams(alpha=4, beta=0.1, sigma=simulate.DEFAULT_SIGMA, tau=2000)
+        )
+        z_expected = (res.hitting_times - theory.mean) / theory.sd
         assert res.z_values == pytest.approx(z_expected)
         assert res.ks == pytest.approx(simulate.ks_distance(z_expected))
 
