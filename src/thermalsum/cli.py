@@ -84,14 +84,13 @@ def _refuse_rerun(run: Path, force: bool) -> None:
         pass
 
 
-def _publish(run: Path, force: bool, target: Callable[[Path], tuple[str, list[checks.Check]]]) -> tuple[str, list[checks.Check]]:
+def _publish(run: Path, target: Callable[[Path], tuple[str, list[checks.Check]]]) -> tuple[str, list[checks.Check]]:
     """Run target into a fresh hidden sibling of run and move it into place once complete.
 
     target writes each artifact into the directory it is given and returns its
     summary and checks. An earlier run is set aside only at the swap and deleted
     after it; until the new run is in place, any failure leaves it as it was.
     """
-    _refuse_rerun(run, force)
     run.parent.mkdir(parents=True, exist_ok=True)
     # a sibling, so that os.replace stays on one filesystem
     stage = Path(tempfile.mkdtemp(prefix=f".{run.name}.", dir=run.parent))
@@ -147,21 +146,21 @@ def reproduce(
     """
     if target in ("sim1", "sim2") and seed is None:
         raise click.UsageError(f"--seed is required for {target}")
-    run = out / f"{target}-seed{seed}"
+    paths = _lilac_paths(seed, check_mode, data_dir) if target == "lilac-bins" else None
+    run = out / (target if target == "walnut" or paths else f"{target}-seed{seed}")
     try:
+        _refuse_rerun(run, force)  # before any input is read
         if target == "sim1":
             make = functools.partial(_sim1, seed, replicates, write_raw)
         elif target == "sim2":
             make = functools.partial(_sim2, seed, replicates)
         elif target == "walnut":
-            run, make = out / target, _walnut
-        elif (paths := _lilac_paths(seed, check_mode, data_dir)) is None:
+            make = _walnut
+        elif paths is None:
             make = functools.partial(_lilac_synthetic, seed, replicates)
         else:
-            run = out / target
-            _refuse_rerun(run, force)  # before either input is read
             make = functools.partial(_lilac_bins, _lilac_rows(*paths, units), check_mode)
-        summary, found = _publish(run, force, make)
+        summary, found = _publish(run, make)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
     except MemoryError:

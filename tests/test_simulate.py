@@ -347,7 +347,8 @@ def _assert_bulk_seeding_matches(seed, cell, start, stop):
     rngs = list(simulate._substreams(seed, cell, start, stop))
     assert len(rngs) == stop - start
     for i, rng in zip(range(start, stop), rngs):
-        words = rng.bit_generator.seed_seq.words
+        # _seed_seq, not the seed_seq property, which numpy has only from 1.25
+        words = rng.bit_generator._seed_seq.words
         assert words.dtype == np.uint64 and words.flags.c_contiguous
         expected = np.random.SeedSequence((seed, cell, i)).generate_state(4, np.uint64)
         assert words.tolist() == expected.tolist(), f"replicate {i}"
