@@ -8,7 +8,6 @@ weighted least-squares / quartile-binning analyses built on them.
 
 from .errors import (
     ApproximationDomainError,
-    DegenerateDesign,
     EmptyFile,
     HorizonExceeded,
     InsufficientData,

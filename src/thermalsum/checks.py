@@ -71,30 +71,6 @@ def sim2_sd_checks(grid: SimulationGrid) -> list[Check]:
             for (a, b, tau), expected in sorted(reference.SIM2_SDS.items())]
 
 
-def _ladder_overshoot_mean(alpha: float, sigma: float) -> float:
-    """Limiting mean overshoot E[R_inf] of a Gaussian walk over a far threshold.
-
-    Steps are Normal(alpha, sigma^2) with alpha > 0, sigma > 0, and R is
-    Z_nu - tau at the first strict passage. Spitzer's formula (Siegmund 1985,
-    Sequential Analysis, ch. 8) gives
-    E[R_inf] = E[X^2]/(2 alpha) - sum_{n>=1} n^-1 E[S_n^-]
-    with S_n ~ Normal(n alpha, n sigma^2). The terms fall monotonically; the
-    sum stops after the first term below 1e-12.
-    """
-    total = (sigma**2 + alpha**2) / (2.0 * alpha)
-    n = 1
-    while True:
-        mean, sd = n * alpha, math.sqrt(n) * sigma
-        h = mean / sd
-        # E[S^-] = sd*phi(h) - mean*Phi(-h) for S ~ Normal(mean, sd^2)
-        term = (sd * math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
-                - mean * 0.5 * math.erfc(h / math.sqrt(2.0))) / n
-        total -= term
-        if term < 1e-12:
-            return total
-        n += 1
-
-
 def _normal_ig_gap(alpha: float, sigma: float, tau: float) -> float:
     """Sup distance between the winter normal law and the inverse-Gaussian law.
 
@@ -188,7 +164,7 @@ def winter_agreement_checks(grid: SimulationGrid) -> list[Check]:
     """
     alpha, _, tau = reference.WINTER_CELL
     cell = grid.cells[reference.WINTER_CELL]
-    overshoot = _ladder_overshoot_mean(alpha, grid.sigma)
+    overshoot = model.winter_overshoot_mean(alpha, grid.sigma)
     mean_target = (tau + overshoot) / alpha
     var_target = grid.sigma**2 * tau / alpha**3
     se = math.sqrt(var_target / cell.replicate_count)

@@ -25,13 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import regimes
-from .errors import (
-    DegenerateDesign,
-    EmptyFile,
-    InsufficientData,
-    MissingHeader,
-    ParameterError,
-)
+from .errors import EmptyFile, InsufficientData, MissingHeader, ParameterError
 
 EARTH_RADIUS_KM = 6371.0088
 MATCH_CUTOFF_KM = 16.0934  # 10 miles
@@ -85,19 +79,6 @@ class StationTable:
 
     def __len__(self) -> int:
         return len(self.station)
-
-    def _take(self, index: np.ndarray) -> "StationTable":
-        """The rows at index, in that order, numbered over their own stations."""
-        codes, station = np.unique(self.station[index], return_inverse=True)
-        return StationTable(
-            station_ids=tuple(self.station_ids[c] for c in codes),
-            station=station.reshape(-1),
-            day=self.day[index],
-            latitude=self.latitude[index],
-            longitude=self.longitude[index],
-            tmax=self.tmax[index],
-            tmin=self.tmin[index],
-        )
 
 
 @dataclass
@@ -384,21 +365,23 @@ def filter_phenology(
 
 
 def midrange_series(
-    table: StationTable, station_id: str, year: int
+    table: StationTable, rows: np.ndarray, station_id: str, year: int
 ) -> regimes.DailyTemperatureSeries:
-    """Daily (tmax+tmin)/2 series for one station-year; missing if either is.
+    """Daily (tmax+tmin)/2 series of one station-year; missing if either is.
 
-    A station-day read more than once keeps its last complete reading.
+    rows indexes that station-year's rows of table, in file order;
+    station_id only names the series. A station-day read more than once
+    keeps its last complete reading.
     """
+    years, yday = _year_and_yday(table.day[rows])
+    if (years != year).any():
+        raise ParameterError(f"rows for {station_id}/{year} include dates outside {year}")
+    tmax, tmin = table.tmax[rows], table.tmin[rows]
+    latest_first = np.flatnonzero(~np.isnan(tmax) & ~np.isnan(tmin))[::-1]
+    days, first = np.unique(yday[latest_first], return_index=True)
+    last = latest_first[first]
     values = np.full(regimes.days_in_year(year), np.nan)
-    if station_id in table.station_ids:
-        years, yday = _year_and_yday(table.day)
-        complete = ~np.isnan(table.tmax) & ~np.isnan(table.tmin)
-        mine = (table.station == table.station_ids.index(station_id)) & (years == year)
-        latest_first = np.flatnonzero(mine & complete)[::-1]
-        days, first = np.unique(yday[latest_first], return_index=True)
-        last = latest_first[first]
-        values[days] = 0.5 * (table.tmax[last] + table.tmin[last])
+    values[days] = 0.5 * (tmax[last] + tmin[last])
     return regimes.DailyTemperatureSeries(site_id=station_id, year=year, values=values)
 
 
@@ -483,11 +466,10 @@ def build_analysis_rows(
             continue
         key = (sid, obs.year)
         if key not in estimates:
-            group = table._take(groups.get(key, no_rows))
-            series = regimes.clip_base(midrange_series(group, sid, obs.year))
+            series = midrange_series(table, groups.get(key, no_rows), sid, obs.year)
             try:
-                estimates[key] = regimes.estimate_regime(series)
-            except (InsufficientData, DegenerateDesign):
+                estimates[key] = regimes.estimate_regime(regimes.clip_base(series))
+            except InsufficientData:
                 estimates[key] = None
         est = estimates[key]
         if est is None:

@@ -21,10 +21,6 @@ class InsufficientData(ThermalSumError):
     """Too few non-missing days in an estimation window."""
 
 
-class DegenerateDesign(ThermalSumError):
-    """Regression design has too few distinct day indices."""
-
-
 class MissingHeader(ThermalSumError):
     """Input CSV does not start with the expected header."""
 

@@ -6,8 +6,9 @@ first day the running sum of X_i exceeds a threshold tau (degree-days). Two
 regimes are distinguished exactly by beta: the stationary winter regime
 (beta == 0) and the spring warming regime (beta > 0). This module provides
 the deterministic crossing time, the asymptotic normal approximations for
-the hitting day in both regimes, the regime sensitivity derivatives, and the
-standard normal law those approximations are checked against.
+the hitting day in both regimes, the regime sensitivity derivatives, the
+winter walk's limiting overshoot, and the standard normal law those
+approximations are checked against.
 
 All functions are pure and safe for concurrent use.
 """
@@ -223,6 +224,31 @@ def sensitivity(params: RegimeParams, wrt: str) -> float:
             )
         return -0.5 * math.sqrt(2.0 * params.tau / params.beta**3)
     raise ParameterError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
+
+
+def winter_overshoot_mean(alpha: float, sigma: float) -> float:
+    """Limiting mean overshoot E[R_inf] of the winter walk over a far threshold.
+
+    Steps are Normal(alpha, sigma^2) with alpha > 0, sigma > 0, and R is
+    Z_nu - tau at the first strict passage; by Wald's identity the winter
+    hitting day has mean (tau + E[R])/alpha. Spitzer's formula (Siegmund 1985,
+    Sequential Analysis, ch. 8) gives
+    E[R_inf] = E[X^2]/(2 alpha) - sum_{n>=1} n^-1 E[S_n^-]
+    with S_n ~ Normal(n alpha, n sigma^2). The terms fall monotonically; the
+    sum stops after the first term below 1e-12.
+    """
+    total = (sigma**2 + alpha**2) / (2.0 * alpha)
+    n = 1
+    while True:
+        mean, sd = n * alpha, math.sqrt(n) * sigma
+        h = mean / sd
+        # E[S^-] = sd*phi(h) - mean*Phi(-h) for S ~ Normal(mean, sd^2)
+        term = (sd * math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+                - mean * 0.5 * math.erfc(h / math.sqrt(2.0))) / n
+        total -= term
+        if term < 1e-12:
+            return total
+        n += 1
 
 
 def normal_cdf(x: np.ndarray | float) -> np.ndarray:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDesign, InsufficientData, ParameterError
+from .errors import InsufficientData, ParameterError
 
 MIN_COMPLETENESS = 0.8
 
@@ -43,26 +42,12 @@ class DailyTemperatureSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-class AlphaEstimate(NamedTuple):
-    alpha_hat: float
-    n_days: int
-
-
-class BetaEstimate(NamedTuple):
-    beta_hat: float
-    r_squared: float
-    n_days: int
-
-
 @dataclass(frozen=True)
 class RegimeEstimate:
     """Point estimates of the site-year temperature regime."""
 
     alpha_hat: float
     beta_hat: float
-    n_alpha_days: int
-    n_beta_days: int
-    r_squared_beta: float
 
 
 def days_in_year(year: int) -> int:
@@ -90,7 +75,13 @@ def clip_base(series: DailyTemperatureSeries) -> DailyTemperatureSeries:
     )
 
 
-def _window_values(series: DailyTemperatureSeries, window: range, label: str) -> np.ndarray:
+def _window_values(
+    series: DailyTemperatureSeries, window: range, label: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window's present days (1-based day of year) and their values.
+
+    Raises InsufficientData when under MIN_COMPLETENESS of its days are present.
+    """
     vals = series.values[window.start : window.stop]
     present = ~np.isnan(vals)
     frac = present.mean()
@@ -99,50 +90,27 @@ def _window_values(series: DailyTemperatureSeries, window: range, label: str) ->
             f"{label} window for {series.site_id}/{series.year}: "
             f"{present.sum()}/{len(vals)} days present ({frac:.0%} < {MIN_COMPLETENESS:.0%})"
         )
-    return vals
+    days = np.arange(window.start + 1, window.stop + 1, dtype=float)
+    return days[present], vals[present]
 
 
-def estimate_alpha(series: DailyTemperatureSeries) -> AlphaEstimate:
+def estimate_alpha(series: DailyTemperatureSeries) -> float:
     """Mean clipped daily temperature over the available January-February days."""
-    vals = _window_values(series, alpha_window(series.year), "Jan-Feb")
-    present = ~np.isnan(vals)
-    return AlphaEstimate(float(vals[present].mean()), int(present.sum()))
+    _, y = _window_values(series, alpha_window(series.year), "Jan-Feb")
+    return float(y.mean())
 
 
-def estimate_beta(series: DailyTemperatureSeries) -> BetaEstimate:
+def estimate_beta(series: DailyTemperatureSeries) -> float:
     """OLS slope of clipped daily temperature on day-of-year over March-April.
 
-    r_squared is 1 - SS_res/SS_tot, defined as 1.0 when the fit is exact
-    (including a constant series, where the flat line has zero residual).
+    The completeness gate leaves at least 49 of the 61 days, so the slope is
+    always defined.
     """
-    window = beta_window(series.year)
-    vals = _window_values(series, window, "Mar-Apr")
-    present = ~np.isnan(vals)
-    days = np.arange(window.start + 1, window.stop + 1, dtype=float)[present]
-    y = vals[present]
-    if len(np.unique(days)) < 3:
-        raise DegenerateDesign(
-            f"need >= 3 distinct days for the slope, got {len(np.unique(days))}"
-        )
+    days, y = _window_values(series, beta_window(series.year), "Mar-Apr")
     dx = days - days.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    sxy = float(dx @ dy)
-    syy = float(dy @ dy)
-    slope = sxy / sxx
-    ss_res = syy - sxy * sxy / sxx
-    r2 = 1.0 if syy == 0 or ss_res <= 0 else 1.0 - ss_res / syy
-    return BetaEstimate(slope, r2, int(present.sum()))
+    return float(dx @ (y - y.mean())) / float(dx @ dx)
 
 
 def estimate_regime(series: DailyTemperatureSeries) -> RegimeEstimate:
     """Both regime parameters for an already-clipped series."""
-    a = estimate_alpha(series)
-    b = estimate_beta(series)
-    return RegimeEstimate(
-        alpha_hat=a.alpha_hat,
-        beta_hat=b.beta_hat,
-        n_alpha_days=a.n_days,
-        n_beta_days=b.n_days,
-        r_squared_beta=b.r_squared,
-    )
+    return RegimeEstimate(estimate_alpha(series), estimate_beta(series))

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import invgauss
 
-from thermalsum import checks, fitting, reference
+from thermalsum import checks, fitting, model, reference
 from thermalsum.simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, SimulationGrid, SimulationResult
 
 
@@ -113,11 +113,11 @@ class TestLadderOvershoot:
             overshoots.append(z[np.arange(len(z)), nu] - tau)
         r = np.concatenate(overshoots)
         se = r.std(ddof=1) / math.sqrt(len(r))
-        assert abs(r.mean() - checks._ladder_overshoot_mean(alpha, sigma)) <= 3 * se
+        assert abs(r.mean() - model.winter_overshoot_mean(alpha, sigma)) <= 3 * se
 
     def test_reference_value(self):
         # 0.634*sigma at alpha=4, sigma=20
-        assert checks._ladder_overshoot_mean(4.0, 20.0) == pytest.approx(12.685, abs=1e-3)
+        assert model.winter_overshoot_mean(4.0, 20.0) == pytest.approx(12.685, abs=1e-3)
 
 
 class TestNormalIgGap:

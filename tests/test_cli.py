@@ -194,8 +194,10 @@ class TestReproduceSim1:
 
 
 # sha256 of every file in the run directories of `reproduce sim1 --seed 7
-# --r 200 --raw` and `reproduce sim2 --seed 7 --r 200`. They pin the seeded
-# outputs end to end: substreams, cell numbering, trend, summaries and export.
+# --r 200 --raw`, `reproduce sim2 --seed 7 --r 200`, `reproduce walnut` and
+# `reproduce lilac-bins` on _write_lilac_fixture's data. They pin the outputs
+# end to end: substreams, cell numbering, trend, summaries and export; the
+# walnut fit; and the lilac parse, join, regime estimates and binning.
 GOLDEN_RUN_DIGESTS = {
     "sim1-seed7": {
         "hist_a2_b0.1_tau1000.csv": "4bc8abed25d489698a2ffb59037f4d98818ef2b7a7a0d7fbe474c27f55d234ed",
@@ -220,18 +222,36 @@ GOLDEN_RUN_DIGESTS = {
         "summary.csv": "58b9a813ceb59d6af1db0a6a6afc667515d7b384a3ad034d5b8403a7be96503e",
         "tables.txt": "4c7e0b993659c4e14a3efb5005f7a47a4e2729deb08c05f286b698813782e1d8",
     },
+    "walnut": {
+        "fit.csv": "d8eff80c8ea1981c67bedf2f6545d66066677f09c1f83b4746659434e78b0f6b",
+        "fit.txt": "96c9a5520715224b0b495a58011cf7548bf0bad84c4afce1882250ad93992d98",
+    },
+    "lilac-bins": {
+        "analysis_rows.csv": "ab503a5c9271ecca22d9c19d336fc69e7feba27fde15c4e71f493fdb3c9335d4",
+        "grid.csv": "8e4e19206ea9709c9ac3438f71f51d0f6fefa16456d2facef320383106821840",
+        "tables.txt": "53cc9aaf7bbfb6fa8624ba00e39d59b207278c8e493967566bdb5b770981b7ca",
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "target, extra", [("sim1", ["--raw"]), ("sim2", [])], ids=["sim1", "sim2"]
+    "target, extra",
+    [
+        ("sim1", ["--seed", "7", "--r", "200", "--raw"]),
+        ("sim2", ["--seed", "7", "--r", "200"]),
+        ("walnut", []),
+        ("lilac-bins", []),
+    ],
+    ids=["sim1", "sim2", "walnut", "lilac-bins"],
 )
 def test_golden_run_directory(runner, tmp_path, target, extra):
-    result = runner.invoke(
-        main, ["reproduce", target, "--seed", "7", "--r", "200", "--out", str(tmp_path)] + extra
-    )
+    if target == "lilac-bins":
+        _write_lilac_fixture(tmp_path / "data")
+        extra = ["--data-dir", str(tmp_path / "data")]
+    out = tmp_path / "runs"
+    result = runner.invoke(main, ["reproduce", target, "--out", str(out)] + extra)
     assert result.exit_code == 0, result.output
-    run = tmp_path / f"{target}-seed7"
+    (run,) = out.iterdir()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
     assert got == GOLDEN_RUN_DIGESTS[run.name]
 

@@ -230,6 +230,13 @@ def test_columnar_parse_equals_row_oracle(tmp_path_factory, rows, chunks, extra,
     assert len(parsed.records) == len(records)
 
 
+def station_year_series(table, station_id, year):
+    """midrange_series over station_id's rows in year, found by a plain scan."""
+    rows = [k for k, r in enumerate(to_records(table))
+            if (r.station_id, r.date.year) == (station_id, year)]
+    return data_io.midrange_series(table, np.array(rows, dtype=np.intp), station_id, year)
+
+
 class TestMidrangeSeries:
     def records(self):
         return from_records([
@@ -239,21 +246,21 @@ class TestMidrangeSeries:
         ])
 
     def test_midrange_value(self):
-        series = data_io.midrange_series(self.records(), "S1", 2021)
+        series = station_year_series(self.records(), "S1", 2021)
         assert series.values[0] == pytest.approx(5.0)
 
     def test_missing_component_propagates(self):
-        series = data_io.midrange_series(self.records(), "S1", 2021)
+        series = station_year_series(self.records(), "S1", 2021)
         assert np.isnan(series.values[1])
 
     def test_other_station_excluded(self):
-        series = data_io.midrange_series(self.records(), "S2", 2021)
+        series = station_year_series(self.records(), "S2", 2021)
         assert series.values[0] == pytest.approx(5.0)
         assert np.isnan(series.values[1])
 
     def test_leap_day_lands_on_day_60(self):
         recs = [StationRecord("S1", datetime.date(2020, 2, 29), 40, -75, 4.0, 2.0)]
-        series = data_io.midrange_series(from_records(recs), "S1", 2020)
+        series = station_year_series(from_records(recs), "S1", 2020)
         assert series.values[59] == pytest.approx(3.0)
         assert len(series.values) == 366
 
@@ -265,13 +272,17 @@ class TestMidrangeSeries:
             StationRecord("S2", day, 40, -75, 20.0, 2.0),
             StationRecord("S1", day, 40, -75, None, 4.0),
         ] * 3
-        series = data_io.midrange_series(from_records(recs), "S1", 2021)
+        series = station_year_series(from_records(recs), "S1", 2021)
         assert series.values[0] == 7.0
         assert np.isnan(series.values[1:]).all()
 
     def test_unknown_station_is_all_missing(self):
-        series = data_io.midrange_series(self.records(), "S9", 2021)
+        series = station_year_series(self.records(), "S9", 2021)
         assert np.isnan(series.values).all()
+
+    def test_rows_of_another_year_raise(self):
+        with pytest.raises(ParameterError, match="S1/2020"):
+            data_io.midrange_series(self.records(), np.array([0]), "S1", 2020)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +293,7 @@ def test_windows_cover_their_calendar_months(year):
     table = from_records(
         StationRecord("S1", d, 40, -75, v, v) for d, v in zip(days, stamp)
     )
-    values = data_io.midrange_series(table, "S1", year).values
+    values = data_io.midrange_series(table, np.arange(len(table)), "S1", year).values
     alpha_window = regimes.alpha_window(year)
     alpha = values[alpha_window.start : alpha_window.stop]
     feb_end = datetime.date(year, 3, 1) - datetime.timedelta(1)
@@ -464,9 +475,12 @@ class TestStationYearIndex:
         sizes = []
         real = data_io.midrange_series
 
-        def counting(table, station_id, year):
-            sizes.append(len(table))
-            return real(table, station_id, year)
+        def counting(table, rows, station_id, year):
+            records = to_records(table)
+            read = {(records[k].station_id, records[k].date.year) for k in rows}
+            assert read == {(station_id, year)}
+            sizes.append(len(rows))
+            return real(table, rows, station_id, year)
 
         monkeypatch.setattr(data_io, "midrange_series", counting)
         lats = (40.0, 42.0, 44.0)
