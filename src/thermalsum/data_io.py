@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -134,17 +134,17 @@ def parse_temperature_csv(
     chunks: list[tuple[np.ndarray, ...]] = []
     rejected = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         if [h.strip() for h in header] != TEMPERATURE_HEADER:
             raise MissingHeader(
                 f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
             )
-        while rows := list(itertools.islice(reader, _PARSE_ROWS)):
-            columns, n_rejected = _parse_rows(rows, cells, codes, keep)
+        # map holds no chunk, so a chunk's rows are freed before the next is read
+        parse = functools.partial(_parse_rows, cells=cells, codes=codes, keep=keep)
+        for columns, n_rejected in map(parse, _row_chunks(fh)):
             if len(columns[0]):
                 chunks.append(columns)
             rejected += n_rejected
@@ -209,6 +209,28 @@ class _JoinRows:
         return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(float(a.min()), 1.0)))
 
 
+def _row_chunks(fh: TextIO) -> Iterator[list[list[str]]]:
+    """The rows of fh, _PARSE_ROWS lines at a time.
+
+    Each line is split at its commas until a chunk holds a quote, a NUL or
+    a line longer than csv.field_size_limit(); from that chunk on,
+    csv.reader reads the rest of the file, so quoted fields (and the line
+    breaks inside them), NULs and over-long fields follow csv's rules. Split
+    lines give the rows csv would: no other character is special to it.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(itertools.islice(fh, _PARSE_ROWS)):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+            reader = csv.reader(itertools.chain(lines, fh))
+            del lines, text
+            yield from iter(lambda: list(itertools.islice(reader, _PARSE_ROWS)), [])
+            return
+        del text
+        yield [line.rstrip("\r\n").split(",") for line in lines]
+        del lines  # freed before the next chunk is read
+
+
 class _Cells:
     """One column's converter: each distinct cell string is converted once."""
 
@@ -217,12 +239,19 @@ class _Cells:
 
     def __call__(self, column: Sequence[str | None]):
         """The converted column: an array of dtype, or a list if dtype is None."""
+        try:
+            return self._lookup(column)
+        except KeyError:  # a cell not yet converted
+            pass
         memo = self.memo
         if len(memo) > _MEMO_CELLS:
             memo.clear()
         for cell in set(column).difference(memo):
             memo[cell] = self.convert(cell)
-        values = map(memo.__getitem__, column)
+        return self._lookup(column)
+
+    def _lookup(self, column: Sequence[str | None]):
+        values = map(self.memo.__getitem__, column)
         return list(values) if self.dtype is None else np.fromiter(values, self.dtype, len(column))
 
 
@@ -489,7 +518,21 @@ def build_analysis_rows(
 
 
 def analysis_rows_csv(rows: Iterable[AnalysisRow]) -> str:
-    """Joined rows as CSV text (floats at 6 significant digits, LF endings)."""
+    """Joined rows as CSV text (floats at 6 significant digits, LF endings).
+
+    A site id holding a comma, a quote, CR or LF is quoted as csv quotes it
+    (QUOTE_MINIMAL); other ids are written as they are.
+    """
     lines = [",".join(ANALYSIS_HEADER)]
-    lines += [f"{r.site_id},{r.year},{r.alpha_hat:.6g},{r.beta_hat:.6g},{r.bloom_doy}" for r in rows]
+    lines += [
+        f"{_csv_cell(r.site_id)},{r.year},{r.alpha_hat:.6g},{r.beta_hat:.6g},{r.bloom_doy}"
+        for r in rows
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    # csv.writer with an LF terminator would leave a lone CR unquoted
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import errno
 import functools
@@ -252,8 +253,33 @@ def test_golden_run_directory(runner, tmp_path, target, extra):
     result = runner.invoke(main, ["reproduce", target, "--out", str(out)] + extra)
     assert result.exit_code == 0, result.output
     (run,) = out.iterdir()
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
-    assert got == GOLDEN_RUN_DIGESTS[run.name]
+    assert _digests(run) == GOLDEN_RUN_DIGESTS[run.name]
+
+
+def _digests(run):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
+
+
+def _rewrite_csv(path, edit=lambda rows: rows, quoting=csv.QUOTE_MINIMAL):
+    """Rewrite path through csv.writer with CRLF endings, its rows first passed
+    to edit (csv.writer quotes a lone CR only under a CRLF terminator)."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = edit(list(csv.reader(fh)))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=quoting, lineterminator="\r\n").writerows(rows)
+
+
+def test_golden_lilac_bins_through_the_csv_path(runner, tmp_path):
+    # every cell quoted and CRLF endings: csv.reader reads each file whole
+    _write_lilac_fixture(tmp_path / "data")
+    for path in (tmp_path / "data").iterdir():
+        _rewrite_csv(path, quoting=csv.QUOTE_ALL)
+    out = tmp_path / "runs"
+    result = runner.invoke(
+        main, ["reproduce", "lilac-bins", "--out", str(out), "--data-dir", str(tmp_path / "data")]
+    )
+    assert result.exit_code == 0, result.output
+    assert _digests(out / "lilac-bins") == GOLDEN_RUN_DIGESTS["lilac-bins"]
 
 
 class TestReproduceWalnut:
@@ -293,6 +319,12 @@ def _write_lilac_fixture(root, alpha_shift=None):
     ):
         lines.append(f"L{i},{lat},-75.0,{year},{doy + 5 * i},common lilac,full bloom")
     (root / "lilac_phenology.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _past_one_chunk(lines):
+    """The fixture's header and its rows three times over: more than one parse chunk."""
+    assert 3 * (len(lines) - 1) > data_io._PARSE_ROWS + 1
+    return lines[:1] + lines[1:] * 3
 
 
 class TestReproduceLilacBins:
@@ -465,9 +497,11 @@ class TestReproduceLilacBins:
             ("daily_temperatures.csv", "directory"),
             ("daily_temperatures.csv", "long_field"),
             ("lilac_phenology.csv", "long_field"),
+            ("daily_temperatures.csv", "long_field_late"),
         ],
         ids=["phenology_byte_e9", "temperature_byte_e9", "phenology_directory",
-             "temperature_directory", "temperature_long_field", "phenology_long_field"],
+             "temperature_directory", "temperature_long_field", "phenology_long_field",
+             "temperature_long_field_late"],
     )
     def test_unreadable_input_exits_2_without_run_dir(self, runner, tmp_path, filename, damage):
         _write_lilac_fixture(tmp_path / "data")
@@ -480,9 +514,14 @@ class TestReproduceLilacBins:
             path.unlink()
             path.mkdir()
         else:
-            # past the csv module's 131,072-character field limit
+            # past the csv module's 131,072-character field limit, on the first
+            # row, or ("long_field_late") on the first row of the second chunk
             lines = path.read_text(encoding="utf-8").splitlines()
-            lines[1] = "X" * 200_000 + lines[1]
+            row = 1
+            if damage == "long_field_late":
+                lines = _past_one_chunk(lines)
+                row = data_io._PARSE_ROWS + 1
+            lines[row] = "X" * 200_000 + lines[row]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = runner.invoke(
             main,
@@ -493,6 +532,48 @@ class TestReproduceLilacBins:
         assert isinstance(result.exception, SystemExit)
         assert f"cannot read {path}" in result.output
         assert not (tmp_path / "runs").exists()
+
+    def test_nul_past_the_first_chunk_reads_as_csv_does(self, runner, tmp_path):
+        # csv refuses a NUL before Python 3.11 and reads it as a plain
+        # character since; here it spoils one tmin reading
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / "daily_temperatures.csv"
+        lines = _past_one_chunk(path.read_text(encoding="utf-8").splitlines())
+        lines[data_io._PARSE_ROWS + 1] += "\0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        if sys.version_info < (3, 11):
+            assert result.exit_code == 2, result.output
+            assert f"cannot read {path}: line contains NUL" in result.output
+            assert not (tmp_path / "runs").exists()
+        else:
+            assert result.exit_code == 0, result.output
+            assert "lilac-bins: 4 rows from 4 observations (0 unmatched, 0 incomplete, " \
+                   "1 rejected temperature rows)" in result.output
+
+    def test_quoted_site_ids_read_back(self, runner, tmp_path):
+        sites = ["L,0", 'L "1"', "L\n2", "L\r3"]
+
+        def rename(rows):
+            return rows[:1] + [[site] + row[1:] for site, row in zip(sites, rows[1:])]
+
+        _write_lilac_fixture(tmp_path / "data")
+        _rewrite_csv(tmp_path / "data" / "lilac_phenology.csv", rename)
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "runs" / "lilac-bins" / "analysis_rows.csv"
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == ["site"] + sites
+        assert {len(row) for row in rows} == {5}
 
     def test_undecodable_byte_names_its_line(self, runner, tmp_path):
         # line 400 lies past the decoder's first 8 KiB buffer

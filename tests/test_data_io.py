@@ -175,7 +175,8 @@ def test_temperature_csv_round_trip(tmp_path_factory, records):
 
 
 # Cells the parser must accept, then cells it must reject, per column; none
-# holds a comma or quote. Rows repeat, so station-days repeat and every kind
+# holds a comma or quote, so the lines are split directly unless the test
+# quotes a cell itself. Rows repeat, so station-days repeat and every kind
 # of row falls in every chunk of a file longer than data_io._PARSE_ROWS.
 _GOOD_CELLS = [
     ["S1", "S2", " S1 ", "USC0001"],
@@ -216,12 +217,32 @@ def temperature_rows(draw):
     extra=st.integers(-40, 40),
     units=st.sampled_from(["degrees", "tenths"]),
     memo_cells=st.sampled_from([2, data_io._MEMO_CELLS]),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    quoted=st.sampled_from([None, "late", "comma", "straddle"]),
+    at=st.integers(1, 2),
 )
-def test_columnar_parse_equals_row_oracle(tmp_path_factory, rows, chunks, extra, units, memo_cells):
-    n = max(1, chunks * data_io._PARSE_ROWS + extra)
+def test_columnar_parse_equals_row_oracle(
+    tmp_path_factory, rows, chunks, extra, units, memo_cells, ending, quoted, at
+):
+    chunk = data_io._PARSE_ROWS
+    n = max(1, chunks * chunk + extra)
+    lines = [",".join(rows[k % len(rows)]) for k in range(n)]
+    if quoted is not None:
+        # data line k holds the file's first quote, so csv reads from its chunk on:
+        # "late" quotes every cell of the first line after `at` whole chunks;
+        # "comma" quotes a station id holding a comma; in "straddle" the line
+        # break inside a quoted station id ends chunk `at`
+        k = {"late": at * chunk + 1, "comma": at * chunk - 1, "straddle": at * chunk}[quoted]
+        lines += [",".join(rows[j % len(rows)]) for j in range(len(lines), k)]
+        cells = rows[(k - 1) % len(rows)] or [""]
+        if quoted == "late":
+            cells = [f'"{c}"' for c in cells]
+        else:
+            cells = ['"S,1"' if quoted == "comma" else f'"S{ending}1"'] + cells[1:]
+        lines[k - 1] = ",".join(cells)
     path = tmp_path_factory.mktemp("differential") / "t.csv"
-    lines = [HEADER] + [",".join(rows[k % len(rows)]) for k in range(n)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(ending.join([HEADER] + lines) + ending)
     with mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
         parsed = data_io.parse_temperature_csv(path, units=units)
     records, rejected = parse_temperature_rows(path, units=units)
