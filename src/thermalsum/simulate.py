@@ -15,20 +15,24 @@ day, and the later ones are one standard deviation long. numpy's Gaussian and
 two-point draws do not depend on how a stream is split into calls, so neither
 the chunk size nor the block lengths are part of the seed contract, and
 neither changes an output.
-The chunk's generators are seeded in bulk: the four PCG64 seed words of
-SeedSequence((s, c, i)) are hashed for many replicates at once and handed to
-numpy's own PCG64 as an ISeedSequence, so the contract and every output byte
-are unchanged. verify_stopping replays through SeedSequence itself, drawing
-each sampled path's nu days in one call, so every run checks the bulk
-seeding and the block plan against numpy's own draws.
+The cell's mean path mu_1..mu_MAX_HORIZON is computed once, read-only, and
+each block adds its slice of it. Seed words are hashed in bulk: the four
+PCG64 seed words of SeedSequence((s, c, i)) for many replicates at once.
+Each chunk then builds its generators in one pass, a fresh numpy PCG64 per
+replicate seeded from that replicate's words, served through a subclass of
+numpy's ISeedSequence, so the contract and every output byte are unchanged.
+verify_stopping replays through SeedSequence itself, drawing each sampled
+path's nu days in one call, so every run checks the bulk seeding and the
+block plan against numpy's own draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice, product
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -163,29 +167,40 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-class _Words:
-    """A replicate's four PCG64 seed words, served as numpy's ISeedSequence.
+@functools.cache
+def _seed_words() -> type:
+    """The class of a replicate's four PCG64 seed words, numpy's ISeedSequence.
 
-    PCG64 asks for generate_state(4, uint64); any other request raises.
+    A subclass, not a registered class: PCG64's isinstance check then hits
+    the ABC cache instead of walking the registry in Python on every call.
+    Made on first use, so that importing the CLI leaves numpy.random
+    unloaded. PCG64 asks for generate_state(4, uint64); any other request
+    raises.
     """
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
 
-    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-        if (n_words, np.dtype(dtype)) != (4, np.uint64):
-            raise ValueError(f"seed words serve generate_state(4, uint64) only, not ({n_words}, {np.dtype(dtype)})")
-        return self.words
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            # PCG64 passes the type np.uint64 itself: test that before building a dtype
+            if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+                return self.words
+            raise ValueError(
+                f"seed words serve generate_state(4, uint64) only, not ({n_words}, {np.dtype(dtype)})"
+            )
+
+    return SeedWords
 
 
-def _substreams(seed: int, cell: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """substream(seed, cell, i) for i in range(start, stop), seeded in bulk.
+def _substreams(seed: int, cell: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Seed words of substream(seed, cell, i) for i in range(start, stop), in slabs.
 
-    SeedSequence's entropy mixing and generate_state(4, uint64) run on uint32
-    arrays, _SLAB replicates at a time, wrapping mod 2**32 as its uint32 does.
+    Each slab is an (m, 4) uint64 array whose row i - start holds
+    SeedSequence((seed, cell, i)).generate_state(4, uint64). SeedSequence's
+    entropy mixing runs on uint32 arrays, _SLAB replicates at a time,
+    wrapping mod 2**32 as its uint32 does.
     """
-    # registered here, not at import, so that importing the CLI leaves numpy.random unloaded
-    np.random.bit_generator.ISeedSequence.register(_Words)
     while start < stop:
         # replicate indices with the same number of words share one layout
         width = len(_words32(start))
@@ -206,13 +221,25 @@ def _substreams(seed: int, cell: int, start: int, stop: int) -> Iterator[np.rand
         hs = _hash_constants(_INIT_B, _MULT_B)
         words = np.stack([_hashmix(pool[k % 4], next(hs), _MULT_B) for k in range(8)], axis=1)
         # PCG64 reads each row's raw buffer: C-contiguous native uint64
-        for row in words.astype("<u4").view("<u8").astype(np.uint64, copy=False):
-            yield np.random.Generator(np.random.PCG64(_Words(row)))
+        yield words.astype("<u4").view("<u8").astype(np.uint64, copy=False)
         start = end
 
 
-def _block_plan(spec: TemperatureProcessSpec, tau: float) -> tuple[int, int]:
-    """(first, later) block lengths in days for one cell's paths.
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """A fresh generator per row of seed words, numpy's own PCG64 seeded from that row."""
+    seed_words, generator, pcg64 = _seed_words(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(seed_words(row))) for row in words]
+
+
+def _mean_path(spec: TemperatureProcessSpec) -> np.ndarray:
+    """mu_1..mu_MAX_HORIZON, read-only: every block of a cell shares it."""
+    mu = spec.mean_at(np.arange(1, MAX_HORIZON + 1))
+    mu.flags.writeable = False
+    return mu
+
+
+def _block_plan(spec: TemperatureProcessSpec, tau: float, mu: np.ndarray) -> tuple[int, int]:
+    """(first, later) block lengths in days for one cell's paths, mu its mean path.
 
     m is the first day the mean path mu_1 + ... + mu_m exceeds tau, and
     s = sigma*sqrt(m)/mu_m is the linearized sd of the hitting time around
@@ -223,30 +250,30 @@ def _block_plan(spec: TemperatureProcessSpec, tau: float) -> tuple[int, int]:
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ParameterError(f"tau must be finite and > 0, got {tau}")
-    path = spec.mean_at(np.arange(1.0, MAX_HORIZON + 1))
-    crossed = np.cumsum(path, out=path) > tau
+    crossed = np.cumsum(mu) > tau
     if not crossed.any():
         return _MAX_BLOCK, _MAX_BLOCK
     m = int(np.argmax(crossed)) + 1
     # mu_m > 0: it carries the mean path from <= tau to > tau
-    s = spec.noise_sigma * math.sqrt(m) / float(spec.mean_at(m))
+    s = spec.noise_sigma * math.sqrt(m) / float(mu[m - 1])
     first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
     later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
     return first, later
 
 
 def _block_values(
-    spec: TemperatureProcessSpec, rngs: Sequence[np.random.Generator], day0: int, n: int
+    spec: TemperatureProcessSpec, rngs: Sequence[np.random.Generator], mu: np.ndarray
 ) -> np.ndarray:
-    """Daily values of days day0+1..day0+n, row k drawn from rngs[k] alone."""
-    values = np.empty((len(rngs), n))
-    for k, rng in enumerate(rngs):
-        if spec.noise_law == "gaussian":
-            rng.standard_normal(out=values[k])
-        else:
-            values[k] = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    """Daily values of the len(mu) days whose trend is mu, row k drawn from rngs[k] alone."""
+    values = np.empty((len(rngs), len(mu)))
+    if spec.noise_law == "gaussian":
+        for rng, row in zip(rngs, values):
+            rng.standard_normal(out=row)
+    else:
+        for rng, row in zip(rngs, values):
+            row[:] = 2.0 * rng.integers(0, 2, size=len(mu)) - 1.0
     values *= spec.noise_sigma
-    values += spec.mean_at(np.arange(day0 + 1, day0 + n + 1))
+    values += mu
     return values
 
 
@@ -255,13 +282,15 @@ def _first_passage(
     tau: float,
     rngs: Sequence[np.random.Generator],
     plan: tuple[int, int],
+    mu: np.ndarray,
 ) -> np.ndarray:
     """Hitting time of the path drawn from each generator, in generator order.
 
-    All rows walk the blocks of plan (first, later) together; a row leaves
-    the block matrix once it has crossed. Each row's carry is added to its
-    first day before the cumsum along axis 1, so Z_n is the sequential sum
-    of a one-path cumsum and each hitting time depends on its own generator
+    All rows walk the blocks of plan (first, later) together, each block
+    adding its days' slice of the mean path mu; a row leaves the block
+    matrix once it has crossed. Each row's carry is added to its first day
+    before the cumsum along axis 1, so Z_n is the sequential sum of a
+    one-path cumsum and each hitting time depends on its own generator
     only, bit for bit, whatever the plan.
     """
     out = np.empty(len(rngs), dtype=np.int64)
@@ -270,12 +299,15 @@ def _first_passage(
     day0, block = 0, plan[0]
     while day0 < MAX_HORIZON:
         n = min(block, MAX_HORIZON - day0)
-        z = _block_values(spec, [rngs[k] for k in alive], day0, n)
+        rows = rngs if len(alive) == len(rngs) else [rngs[k] for k in alive]
+        z = _block_values(spec, rows, mu[day0:day0 + n])
         z[:, 0] += carry
         np.cumsum(z, axis=1, out=z)
         crossed = z > tau
-        hit = crossed.any(axis=1)
-        out[alive[hit]] = day0 + np.argmax(crossed[hit], axis=1) + 1
+        # a row that never crosses has argmax 0, where crossed is False
+        first = np.argmax(crossed, axis=1)
+        hit = crossed[np.arange(len(alive)), first]
+        out[alive[hit]] = day0 + first[hit] + 1
         alive, carry = alive[~hit], z[~hit, -1]
         if not len(alive):
             return out
@@ -294,21 +326,26 @@ def simulate_hitting_times(
 
     Replicate i is the first day n with Z_n > tau on the path drawn from
     substream(seed, cell, i) alone, so identical (seed, cell) always yields
-    identical output. Replicates are drawn _CHUNK at a time from generators
-    seeded in bulk by _substreams, on one block plan for the cell; neither
-    changes any output. Raises HorizonExceeded if a path has not crossed by
-    day MAX_HORIZON.
+    identical output. _substreams hashes the seed words a slab at a time;
+    each chunk of _CHUNK replicates then gets its generators in one pass,
+    a fresh PCG64 per replicate seeded from its own words. The cell's mean
+    path and block plan are computed once and shared by every chunk; none
+    of this changes any output. Raises HorizonExceeded if a path has not
+    crossed by day MAX_HORIZON.
     """
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if seed < 0 or cell < 0:
         raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
-    plan = _block_plan(spec, tau)
+    mu = _mean_path(spec)
+    plan = _block_plan(spec, tau, mu)
     out = np.empty(replicates, dtype=np.int64)
-    rngs = _substreams(seed, cell, 0, replicates)
-    for start in range(0, replicates, _CHUNK):
-        chunk = list(islice(rngs, _CHUNK))
-        out[start:start + len(chunk)] = _first_passage(spec, tau, chunk, plan)
+    start = 0
+    for slab in _substreams(seed, cell, 0, replicates):
+        for k in range(0, len(slab), _CHUNK):
+            chunk = _generators(slab[k:k + _CHUNK])
+            out[start:start + len(chunk)] = _first_passage(spec, tau, chunk, plan, mu)
+            start += len(chunk)
     return out
 
 
@@ -330,23 +367,26 @@ def verify_stopping(
     for idx in sample:
         i = idx % r
         nu = int(hitting_times[i])
-        z = np.cumsum(_block_values(spec, [substream(seed, cell, i)], 0, nu)[0])
+        mu = spec.mean_at(np.arange(1, nu + 1))
+        z = np.cumsum(_block_values(spec, [substream(seed, cell, i)], mu)[0])
         if not z[nu - 1] > tau:
             raise AssertionError(f"replicate {i}: Z_nu={z[nu-1]} not > tau={tau}")
         if nu > 1 and not z[nu - 2] <= tau:
             raise AssertionError(f"replicate {i}: Z_(nu-1)={z[nu-2]} not <= tau={tau}")
 
 
-def ks_distance(samples: Iterable[float]) -> float:
+def ks_distance(samples: np.ndarray | Sequence[float]) -> float:
     """Sup-norm distance between the empirical CDF of samples and the standard normal CDF.
 
     Requires at least one sample; the usual diagnostic use supplies two or more.
+    Phi is evaluated once per distinct value.
     """
-    x = np.sort(np.asarray(list(samples), dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n == 0:
         raise ParameterError("ks_distance requires a non-empty sample")
-    ref = model.normal_cdf(x)
+    distinct, inverse = np.unique(x, return_inverse=True)
+    ref = model.normal_cdf(distinct)[inverse]
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

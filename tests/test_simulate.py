@@ -18,11 +18,16 @@ def seasonal(alpha, beta, sigma):
     )
 
 
+def block_plan(spec, tau):
+    return simulate._block_plan(spec, tau, simulate._mean_path(spec))
+
+
 def simulate_hitting_time(spec, tau, rng):
     # the engine on one path: _first_passage on one generator, with the
-    # block plan of the path's cell
-    plan = simulate._block_plan(spec, tau)
-    return int(simulate._first_passage(spec, tau, [rng], plan)[0])
+    # mean path and block plan of the path's cell
+    mu = simulate._mean_path(spec)
+    plan = simulate._block_plan(spec, tau, mu)
+    return int(simulate._first_passage(spec, tau, [rng], plan, mu)[0])
 
 
 class TestTemperatureProcessSpec:
@@ -287,30 +292,48 @@ class TestBlockPlan:
     def test_bundled_cells_keep_their_plans(self):
         sigma = simulate.DEFAULT_SIGMA
         for (a, b, tau), plan in SIM1_PLANS.items():
-            assert simulate._block_plan(linear(a, b, sigma), tau) == plan
+            assert block_plan(linear(a, b, sigma), tau) == plan
         for (a, b, tau), plan in SIM2_PLANS.items():
-            assert simulate._block_plan(seasonal(a, b, sigma), tau) == plan
+            assert block_plan(seasonal(a, b, sigma), tau) == plan
 
     def test_first_block_ends_two_sd_past_the_mean_crossing(self):
         # mean path 4n crosses 1000 on day 251; s = 20*sqrt(251)/4 = 79.2
-        assert simulate._block_plan(linear(4, 0, 20), 1000.0) == (410, 80)
+        assert block_plan(linear(4, 0, 20), 1000.0) == (410, 80)
 
     def test_block_bounds(self, monkeypatch):
         # noiseless: later blocks are never shorter than _MIN_BLOCK
-        assert simulate._block_plan(linear(4, 0, 0), 1000.0) == (251, simulate._MIN_BLOCK)
+        assert block_plan(linear(4, 0, 0), 1000.0) == (251, simulate._MIN_BLOCK)
         # mean path 0.5n crosses on day 2001 with s = 1789.3: the first block
         # is capped
-        assert simulate._block_plan(linear(0.5, 0, 20), 1000.0) == (simulate._MAX_BLOCK, 1790)
+        assert block_plan(linear(0.5, 0, 20), 1000.0) == (simulate._MAX_BLOCK, 1790)
         # no mean crossing within the horizon: every block is the largest
         monkeypatch.setattr(simulate, "MAX_HORIZON", 100)
-        assert simulate._block_plan(linear(0.01, 0, 0), 1000.0) == (simulate._MAX_BLOCK,) * 2
+        assert block_plan(linear(0.01, 0, 0), 1000.0) == (simulate._MAX_BLOCK,) * 2
         # the mean path 0.25n first exceeds 1024 on day 4097, one day past
         # the first _MAX_BLOCK days
         spec = linear(0.25, 0, 0)
         monkeypatch.setattr(simulate, "MAX_HORIZON", 4096)
-        assert simulate._block_plan(spec, 1024.0) == (simulate._MAX_BLOCK,) * 2
+        assert block_plan(spec, 1024.0) == (simulate._MAX_BLOCK,) * 2
         monkeypatch.setattr(simulate, "MAX_HORIZON", 4097)
-        assert simulate._block_plan(spec, 1024.0) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
+        assert block_plan(spec, 1024.0) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
+
+    def test_mean_path_is_read_only(self, monkeypatch):
+        # every block of a cell adds its slice of one shared mean path, so a
+        # write into it, such as an in-place cumsum, would shift later trends
+        spec = seasonal(8, 0.4, 20)
+        mu = simulate._mean_path(spec)
+        assert np.array_equal(mu, spec.mean_at(np.arange(1, simulate.MAX_HORIZON + 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            np.cumsum(mu, out=mu)
+        first_passage, writeable = simulate._first_passage, []
+
+        def spy(spec, tau, rngs, plan, mu):
+            writeable.append(mu.flags.writeable)
+            return first_passage(spec, tau, rngs, plan, mu)
+
+        monkeypatch.setattr(simulate, "_first_passage", spy)
+        simulate.simulate_hitting_times(spec, 1000.0, 2 * simulate._CHUNK + 1, seed=1)
+        assert writeable == [False] * 3
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -344,7 +367,8 @@ class TestBlockPlan:
 def _assert_bulk_seeding_matches(seed, cell, start, stop):
     # each generator's seed words are SeedSequence's PCG64 words, and numpy's
     # PCG64 seeded from them is in substream's state
-    rngs = list(simulate._substreams(seed, cell, start, stop))
+    rngs = [rng for words in simulate._substreams(seed, cell, start, stop)
+            for rng in simulate._generators(words)]
     assert len(rngs) == stop - start
     for i, rng in zip(range(start, stop), rngs):
         # _seed_seq, not the seed_seq property, which numpy has only from 1.25
@@ -373,13 +397,20 @@ class TestBulkSeeding:
         start = 2**32 - 2
         _assert_bulk_seeding_matches(7, 3, start, start + 4)
 
+    def test_seed_words_subclass_iseedsequence(self):
+        # a class only registered with the ABC sends every PCG64(...)
+        # isinstance check through the registry in Python
+        words = simulate._seed_words()
+        assert np.random.bit_generator.ISeedSequence in words.__mro__
+        assert simulate._seed_words() is words
+
     @pytest.mark.parametrize(
         "args", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64), (4,)],
         ids=["uint32", "eight_words", "two_words", "int64", "default_dtype"],
     )
     def test_seed_words_refuse_any_other_request(self, args):
         # a numpy whose PCG64 asked for other words would fail, not seed another stream
-        words = simulate._Words(np.arange(4, dtype=np.uint64))
+        words = simulate._seed_words()(np.arange(4, dtype=np.uint64))
         assert words.generate_state(4, np.uint64) is words.words
         with pytest.raises(ValueError, match=r"generate_state\(4, uint64\) only"):
             words.generate_state(*args)
@@ -390,7 +421,7 @@ class TestBulkSeeding:
         # by reading a half left by another
         monkeypatch.setattr(simulate, "MAX_HORIZON", 513)
         spec, tau = linear(1, 0, 3, noise_law="two_point"), 250.0
-        plan = simulate._block_plan(spec, tau)
+        plan = block_plan(spec, tau)
         n = simulate._CHUNK + 2
         times = simulate.simulate_hitting_times(spec, tau, n, seed=6, cell=2)
         assert any(_rows_drawn(int(nu), plan) % 2 for nu in times[:2])
@@ -427,6 +458,17 @@ class TestKsDistance:
         ours = simulate.ks_distance(samples)
         oracle = stats.kstest(samples, "norm").statistic
         assert ours == pytest.approx(oracle, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ints=st.lists(st.integers(-4, 4), min_size=1, max_size=80), scale=st.sampled_from([1.0, 0.5, 0.3]))
+    def test_tied_samples_equal_elementwise_formula(self, ints, scale):
+        # Phi once per distinct value gives the bits of Phi at every sample
+        x = np.array(ints, dtype=float) * scale
+        s, n = np.sort(x), len(x)
+        ref = model.normal_cdf(s)
+        expected = float(max((np.arange(1, n + 1) / n - ref).max(), (ref - np.arange(0, n) / n).max()))
+        assert simulate.ks_distance(x) == expected
+        assert simulate.ks_distance(x.tolist()) == expected
 
 
 class TestRunSimulation1:
