@@ -1,10 +1,11 @@
 """Per-layer bench of the Monte Carlo kernel on the bundled sim1 and sim2 grids.
 
-    python bench/kernel.py --label change [--r 10000] [--seed 7] [--repeats 5] [--out BENCH_kernel.json]
+    python bench/kernel.py --label change [--r 10000] [--repeats 5] [--out BENCH_kernel.json]
 
 Run from a checkout: the package is imported from the checkout's src/. Each
 repeat runs simulate.simulate_hitting_times on every cell of each grid, with
-the cell numbers and specs of `thermalsum reproduce sim1|sim2`, twice:
+the cell numbers and specs of `thermalsum reproduce sim1|sim2` at master
+seed SEED, twice:
 
 - an untraced pass, whose time is the kernel's (kernel_s);
 - a traced pass, with wrappers on the module's _first_passage and
@@ -45,6 +46,8 @@ import numpy as np  # noqa: E402
 
 from thermalsum import simulate  # noqa: E402
 
+SEED = 7
+
 GRIDS = {
     "sim1": (simulate.SIM1_ALPHAS, simulate.SIM1_BETAS, simulate.SIM1_TAUS, 0),
     "sim2": (simulate.SIM2_ALPHAS, simulate.SIM2_BETAS, simulate.SIM2_TAUS, simulate.SIM2_BREAKPOINT_DAY),
@@ -58,14 +61,14 @@ def _cells(grid: str):
         yield cell, spec, tau
 
 
-def _run(grid: str, replicates: int, seed: int) -> tuple[float, list[np.ndarray]]:
+def _run(grid: str, replicates: int) -> tuple[float, list[np.ndarray]]:
     times, t0 = [], perf_counter()
     for cell, spec, tau in _cells(grid):
-        times.append(simulate.simulate_hitting_times(spec, tau, replicates, seed, cell))
+        times.append(simulate.simulate_hitting_times(spec, tau, replicates, SEED, cell))
     return perf_counter() - t0, times
 
 
-def _traced(grid: str, replicates: int, seed: int) -> tuple[dict, list[np.ndarray]]:
+def _traced(grid: str, replicates: int) -> tuple[dict, list[np.ndarray]]:
     first_passage, block_values = simulate._first_passage, simulate._block_values
     acc = dict(passage_s=0.0, draw_s=0.0, rows=0, days_drawn=0, blocks=0)
 
@@ -87,7 +90,7 @@ def _traced(grid: str, replicates: int, seed: int) -> tuple[dict, list[np.ndarra
 
     simulate._first_passage, simulate._block_values = passage, values
     try:
-        kernel_s, times = _run(grid, replicates, seed)
+        kernel_s, times = _run(grid, replicates)
     finally:
         simulate._first_passage, simulate._block_values = first_passage, block_values
     acc["kernel_s"] = kernel_s
@@ -101,11 +104,11 @@ def _digest(times: list[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def measure(grid: str, replicates: int, seed: int, repeats: int) -> dict:
+def measure(grid: str, replicates: int, repeats: int) -> dict:
     runs, digests = [], set()
     for _ in range(repeats):
-        kernel_s, times = _run(grid, replicates, seed)
-        acc, traced = _traced(grid, replicates, seed)
+        kernel_s, times = _run(grid, replicates)
+        acc, traced = _traced(grid, replicates)
         digests |= {_digest(times), _digest(traced)}
         runs.append((kernel_s, acc))
     if len(digests) != 1:
@@ -137,7 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of this entry, e.g. the commit measured")
     parser.add_argument("--r", type=int, default=simulate.DEFAULT_REPLICATES, help="replicates per cell")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=5, help="runs per grid; at least 3")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
     args = parser.parse_args(argv)
@@ -146,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     entry = {
         "label": args.label,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
-        "settings": {"r": args.r, "seed": args.seed, "repeats": args.repeats},
-        "grids": {grid: measure(grid, args.r, args.seed, args.repeats) for grid in GRIDS},
+        "settings": {"r": args.r, "seed": SEED, "repeats": args.repeats},
+        "grids": {grid: measure(grid, args.r, args.repeats) for grid in GRIDS},
     }
     doc = {"bench": "kernel", "entries": []}
     if args.out.exists():

@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -375,18 +375,16 @@ def verify_stopping(
             raise AssertionError(f"replicate {i}: Z_(nu-1)={z[nu-2]} not <= tau={tau}")
 
 
-def ks_distance(samples: np.ndarray | Sequence[float]) -> float:
+def ks_distance(samples: Iterable[float]) -> float:
     """Sup-norm distance between the empirical CDF of samples and the standard normal CDF.
 
     Requires at least one sample; the usual diagnostic use supplies two or more.
-    Phi is evaluated once per distinct value.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(list(samples), dtype=float))
     n = len(x)
     if n == 0:
         raise ParameterError("ks_distance requires a non-empty sample")
-    distinct, inverse = np.unique(x, return_inverse=True)
-    ref = model.normal_cdf(distinct)[inverse]
+    ref = model.normal_cdf(x)
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

@@ -459,17 +459,6 @@ class TestKsDistance:
         oracle = stats.kstest(samples, "norm").statistic
         assert ours == pytest.approx(oracle, rel=1e-12)
 
-    @settings(max_examples=100, deadline=None)
-    @given(ints=st.lists(st.integers(-4, 4), min_size=1, max_size=80), scale=st.sampled_from([1.0, 0.5, 0.3]))
-    def test_tied_samples_equal_elementwise_formula(self, ints, scale):
-        # Phi once per distinct value gives the bits of Phi at every sample
-        x = np.array(ints, dtype=float) * scale
-        s, n = np.sort(x), len(x)
-        ref = model.normal_cdf(s)
-        expected = float(max((np.arange(1, n + 1) / n - ref).max(), (ref - np.arange(0, n) / n).max()))
-        assert simulate.ks_distance(x) == expected
-        assert simulate.ks_distance(x.tolist()) == expected
-
 
 class TestRunSimulation1:
     def test_degenerate_noiseless(self):
