@@ -19,8 +19,10 @@ seed SEED, twice:
     search (per drawn day).
 
 Counts come from the traced pass: rows (one draw call each), days drawn and
-days used (the sum of the hitting times). Times are medians over the
-repeats; the counts repeat exactly. Both passes must return the same hitting
+days used (the sum of the hitting times). The traced pass also records the
+block ends each cell walked, the day each block ended on, so an entry shows
+the block plan that ran. Times are medians over the repeats; the counts and
+block ends repeat exactly. Both passes must return the same hitting
 times, and their sha256 is recorded, so two entries with equal digests ran
 the same outputs. The entry, with nproc and the Python and numpy versions,
 replaces any entry of the same --label in the --out file.
@@ -35,7 +37,7 @@ import os
 import platform
 import statistics
 import sys
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from time import perf_counter
 
@@ -70,14 +72,18 @@ def _run(grid: str, replicates: int) -> tuple[float, list[np.ndarray]]:
 
 def _traced(grid: str, replicates: int) -> tuple[dict, list[np.ndarray]]:
     first_passage, block_values = simulate._first_passage, simulate._block_values
-    acc = dict(passage_s=0.0, draw_s=0.0, rows=0, days_drawn=0, blocks=0)
+    acc = dict(passage_s=0.0, draw_s=0.0, rows=0, days_drawn=0, blocks=0, ends={})
+    walked = []  # days of each block of the current _first_passage call
 
-    def passage(*args):
+    def passage(spec, tau, *args):
+        walked.clear()
         t0 = perf_counter()
         try:
-            return first_passage(*args)
+            return first_passage(spec, tau, *args)
         finally:
             acc["passage_s"] += perf_counter() - t0
+            cell = f"{spec.alpha:g},{spec.beta:g},{tau:g}"
+            acc["ends"].setdefault(cell, set()).update(accumulate(walked))
 
     def values(*args):
         t0 = perf_counter()
@@ -86,6 +92,7 @@ def _traced(grid: str, replicates: int) -> tuple[dict, list[np.ndarray]]:
         acc["rows"] += z.shape[0]
         acc["days_drawn"] += z.size
         acc["blocks"] += 1
+        walked.append(z.shape[1])
         return z
 
     simulate._first_passage, simulate._block_values = passage, values
@@ -133,6 +140,7 @@ def measure(grid: str, replicates: int, repeats: int) -> dict:
         "days_drawn": counts["days_drawn"],
         "days_used": sum(int(t.sum()) for t in times),
         "hitting_times_sha256": digests.pop(),
+        "block_ends": {cell: sorted(ends) for cell, ends in counts["ends"].items()},
     }
 
 

@@ -9,12 +9,13 @@ its own and a run's hitting times depend only on (seed, cell, replicate).
 Day k of a path is always the k-th value its substream draws, and Z_n is the
 sequential sum X_1 + ... + X_n.
 Replicates are drawn in chunks, one block matrix per chunk with one substream
-per row. Each cell plans its block lengths from its own mean path: the first
-block ends two linearized standard deviations past the mean path's crossing
-day, and the later ones are one standard deviation long. numpy's Gaussian and
-two-point draws do not depend on how a stream is split into calls, so neither
-the chunk size nor the block lengths are part of the seed contract, and
-neither changes an output.
+per row. Each cell plans its block ends from its own survival curve
+S(n) = P(Z_n <= tau), read off the normal marginal law of Z_n: dynamic
+programming picks, among about 48 candidate days where S falls from 0.999 to
+1e-7, the ends that minimise a measured cost of draw calls, drawn days and
+block matrices. numpy's Gaussian and two-point draws do not depend on how a
+stream is split into calls, so neither the chunk size nor the block ends are
+part of the seed contract, and neither changes an output.
 The cell's mean path mu_1..mu_MAX_HORIZON is computed once, read-only, and
 each block adds its slice of it. Seed words are hashed in bulk: the four
 PCG64 seed words of SeedSequence((s, c, i)) for many replicates at once.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, count, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,10 +54,23 @@ SIM2_BETAS = (0.2, 0.4, 0.8)
 SIM2_TAUS = (1000.0, 2000.0)
 SIM2_BREAKPOINT_DAY = 90
 
-# Bounds on a block's length in days. Short blocks cost a numpy call per row
-# for few days; long ones draw days that rows past their crossing never use.
-_MIN_BLOCK = 16
+# Longest block in days. Blocks past a cell's planned ends are this long.
 _MAX_BLOCK = 4096
+# A cell's candidate block ends: _CANDIDATES days evenly spaced from the
+# first day with S(n) < 0.999 to the first with S(n) < 1e-7, found as the
+# standardized margin (tau - M_n)/(sigma*sqrt(n)) falling below
+# Phi^-1(0.999) = _Z_FIRST and Phi^-1(1e-7) = _Z_LAST.
+_CANDIDATES = 48
+_Z_FIRST = 3.090232306167813
+_Z_LAST = -5.1993375821928165
+# Modelled cost, in microseconds, of the block kernel: _C_BLOCK per block
+# matrix of a chunk, _C_ROW per row's draw call, _C_DAY per drawn and
+# scanned day. A least-squares fit of T = _C_BLOCK + rows*(_C_ROW +
+# _C_DAY*days) to timed single-block _first_passage calls of 1-64 rows and
+# 1-1024 days gives about these values (2 cores, Python 3.11.7, numpy 2.4.6).
+_C_ROW = 0.55
+_C_DAY = 0.014
+_C_BLOCK = 12.0
 # Replicates drawn together as one block matrix. Not part of the seed
 # contract: any chunk size, like any block plan, gives the same hitting times.
 # Larger chunks cost peak memory (up to _CHUNK x _MAX_BLOCK doubles per
@@ -238,27 +252,64 @@ def _mean_path(spec: TemperatureProcessSpec) -> np.ndarray:
     return mu
 
 
-def _block_plan(spec: TemperatureProcessSpec, tau: float, mu: np.ndarray) -> tuple[int, int]:
-    """(first, later) block lengths in days for one cell's paths, mu its mean path.
+def _block_plan(spec: TemperatureProcessSpec, tau: float, mu: np.ndarray) -> tuple[int, ...]:
+    """Strictly increasing block ends in days for one cell's paths; mu is its mean path.
 
-    m is the first day the mean path mu_1 + ... + mu_m exceeds tau, and
-    s = sigma*sqrt(m)/mu_m is the linearized sd of the hitting time around
-    it. The first block ends at ceil(m + 2s); later blocks are ceil(s) days
-    and at least _MIN_BLOCK; every block is capped at _MAX_BLOCK. With no
-    mean crossing within MAX_HORIZON every block is _MAX_BLOCK. The plan only
-    sizes the draws: hitting times do not depend on it.
+    S(n) = Phi((tau - M_n)/(sigma*sqrt(n))), with M_n = mu_1 + ... + mu_n,
+    is P(Z_n <= tau) for Gaussian noise (its normal approximation for
+    two-point noise): for any trend, an upper bound on the share of paths
+    still alive after day n. A block (a, b] costs each replicate
+
+        _C_BLOCK*(1 - (1 - S(a))**_CHUNK)/_CHUNK + S(a)*(_C_ROW + _C_DAY*(b - a)),
+
+    since its chunk builds the block matrix unless every row has crossed,
+    and each alive row draws and scans b - a days. The plan is the cheapest
+    chain of _CANDIDATES days (see there) that ends on the last one, with no
+    block longer than _MAX_BLOCK; when the first candidate lies more than
+    _MAX_BLOCK days out, _MAX_BLOCK-day blocks lead up to it. Phi is
+    evaluated at those days only.
+
+    With sigma = 0 the one end is the mean path's crossing day. When S does
+    not fall below 1e-7 within MAX_HORIZON, as without a mean crossing, the
+    plan is empty. Blocks past the last end are _MAX_BLOCK days long. The
+    plan only sizes the draws: hitting times do not depend on it.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ParameterError(f"tau must be finite and > 0, got {tau}")
-    crossed = np.cumsum(mu) > tau
-    if not crossed.any():
-        return _MAX_BLOCK, _MAX_BLOCK
-    m = int(np.argmax(crossed)) + 1
-    # mu_m > 0: it carries the mean path from <= tau to > tau
-    s = spec.noise_sigma * math.sqrt(m) / float(mu[m - 1])
-    first = math.ceil(min(m + 2 * s, _MAX_BLOCK))
-    later = math.ceil(min(max(s, _MIN_BLOCK), _MAX_BLOCK))
-    return first, later
+    # margin[n] = (tau - M_n)/(sigma*sqrt(n)), computed in place so that
+    # planning holds no more than two day-long arrays
+    margin = np.empty(len(mu) + 1)
+    margin[0] = np.inf  # day 0: S = 1
+    days = np.cumsum(mu, out=margin[1:])  # M_n for n >= 1, then their margins
+    if spec.noise_sigma > 0:
+        np.subtract(tau, days, out=days)
+        root = np.arange(1.0, len(mu) + 1)
+        np.sqrt(root, out=root)
+        root *= spec.noise_sigma
+        days /= root
+    else:
+        # noiseless: S steps from 1 to 0 on the crossing day
+        days[:] = np.where(days > tau, -np.inf, np.inf)
+    gone = margin < _Z_LAST
+    if not gone.any():
+        return ()
+    first, last = int(np.argmax(margin < _Z_FIRST)), int(np.argmax(gone))
+    ends = sorted({first + k * (last - first) // (_CANDIDATES - 1) for k in range(_CANDIDATES)})
+    start = (ends[0] - 1) // _MAX_BLOCK * _MAX_BLOCK
+    nodes = [start] + ends
+    alive = model.normal_cdf(margin[nodes]).tolist()
+    fixed = [_C_BLOCK * (1 - (1 - a) ** _CHUNK) / _CHUNK + a * _C_ROW for a in alive]
+    # Plain Python over at most _CANDIDATES + 1 nodes: numpy routines that a
+    # run would not call otherwise map more of numpy into its resident memory.
+    # best[j]: least cost of reaching nodes[j] from start, along the ends path[j]
+    best, path = [0.0] + [math.inf] * len(ends), [()] * len(nodes)
+    for j in range(1, len(nodes)):
+        for i in range(j):
+            length = nodes[j] - nodes[i]
+            cost = best[i] + fixed[i] + alive[i] * _C_DAY * length
+            if length <= _MAX_BLOCK and cost < best[j]:
+                best[j], path[j] = cost, path[i] + (nodes[j],)
+    return tuple(range(_MAX_BLOCK, start + 1, _MAX_BLOCK)) + path[-1]
 
 
 def _block_values(
@@ -281,26 +332,28 @@ def _first_passage(
     spec: TemperatureProcessSpec,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    plan: tuple[int, int],
+    plan: tuple[int, ...],
     mu: np.ndarray,
 ) -> np.ndarray:
     """Hitting time of the path drawn from each generator, in generator order.
 
-    All rows walk the blocks of plan (first, later) together, each block
-    adding its days' slice of the mean path mu; a row leaves the block
-    matrix once it has crossed. Each row's carry is added to its first day
-    before the cumsum along axis 1, so Z_n is the sequential sum of a
-    one-path cumsum and each hitting time depends on its own generator
-    only, bit for bit, whatever the plan.
+    All rows walk the blocks together: up to each end of plan in turn, then
+    _MAX_BLOCK days at a time to MAX_HORIZON, each block adding its days'
+    slice of the mean path mu; a row leaves the block matrix once it has
+    crossed. Each row's carry is added to its first day before the cumsum
+    along axis 1, so Z_n is the sequential sum of a one-path cumsum and each
+    hitting time depends on its own generator only, bit for bit, whatever
+    the plan.
     """
     out = np.empty(len(rngs), dtype=np.int64)
     alive = np.arange(len(rngs))
     carry = np.zeros(len(rngs))
-    day0, block = 0, plan[0]
+    ends = chain(plan, count((plan[-1] if plan else 0) + _MAX_BLOCK, _MAX_BLOCK))
+    day0 = 0
     while day0 < MAX_HORIZON:
-        n = min(block, MAX_HORIZON - day0)
+        day1 = min(next(ends), MAX_HORIZON)
         rows = rngs if len(alive) == len(rngs) else [rngs[k] for k in alive]
-        z = _block_values(spec, rows, mu[day0:day0 + n])
+        z = _block_values(spec, rows, mu[day0:day1])
         z[:, 0] += carry
         np.cumsum(z, axis=1, out=z)
         crossed = z > tau
@@ -311,7 +364,7 @@ def _first_passage(
         alive, carry = alive[~hit], z[~hit, -1]
         if not len(alive):
             return out
-        day0, block = day0 + n, plan[1]
+        day0 = day1
     raise HorizonExceeded(
         f"{len(alive)} of {len(rngs)} paths did not cross tau={tau} within "
         f"{MAX_HORIZON} days (alpha={spec.alpha}, beta={spec.beta}, "

@@ -1,3 +1,6 @@
+from functools import cache
+from itertools import chain, count
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -142,11 +145,11 @@ def _one_path_hitting_time(spec, tau, rng):
 
 
 def _rows_drawn(nu, plan):
-    # days a row crossing on day nu draws under plan (first, later)
-    first, later = plan
-    if nu <= first:
-        return min(first, simulate.MAX_HORIZON)
-    return min(first + later * -(-(nu - first) // later), simulate.MAX_HORIZON)
+    # days a row crossing on day nu draws: up to the first block end at or
+    # past nu, the plan's ends followed by _MAX_BLOCK-day blocks
+    step = simulate._MAX_BLOCK
+    ends = chain(plan, count((plan[-1] if plan else 0) + step, step))
+    return min(next(end for end in ends if end >= nu), simulate.MAX_HORIZON)
 
 
 class TestBatchProperties:
@@ -167,7 +170,7 @@ class TestBatchProperties:
     @pytest.mark.parametrize(
         "spec, tau, cell, expected",
         [
-            # winter paths of ~1000 days cross up to the fourth block (day 1792+)
+            # winter paths of 500-2000 days, crossing in different blocks
             (linear(2, 0, 20), 2000.0, 1, [1803, 1197, 1115, 1993, 533, 950]),
             # two-point noise, crossing on both sides of day 256; recorded from
             # the one-replicate-at-a-time loop, before replicates were chunked
@@ -223,8 +226,8 @@ class TestBatchProperties:
         assert np.array_equal(times, longer[:replicates])
 
     def test_chunk_edges_read_their_own_substreams(self):
-        # winter paths crossing in the second to fourth block exercise the
-        # carry of rows that stay in the block matrix, and each chunk reloads
+        # winter paths crossing in different blocks exercise the carry of
+        # rows that stay in the block matrix, and each chunk reloads
         # generators whose earlier rows crossed in later blocks
         spec = linear(2, 0, 20)
         chunk = simulate._CHUNK
@@ -268,24 +271,65 @@ PLAN_CASES = [
 PLAN_REPLICATES = simulate._CHUNK + 3
 
 
-# (first, later) block lengths of every bundled grid cell
+# block ends of every bundled grid cell
 SIM1_PLANS = {
-    (2.0, 0.0, 1000.0): (949, 224), (2.0, 0.0, 2000.0): (1634, 317),
-    (2.0, 0.1, 1000.0): (155, 16), (2.0, 0.1, 2000.0): (208, 16),
-    (4.0, 0.0, 1000.0): (410, 80), (4.0, 0.0, 2000.0): (725, 112),
-    (4.0, 0.1, 1000.0): (136, 16), (4.0, 0.1, 2000.0): (190, 16),
+    (2.0, 0.0, 1000.0): (435, 584, 807, 1030, 1402, 1774, 2146, 2518, 2890, 3262, 3635),
+    (2.0, 0.0, 2000.0): (912, 1173, 1434, 1695, 2043, 2479, 2914, 3349, 3784, 4219, 4481),
+    (2.0, 0.1, 1000.0): (142, 174, 195, 204),
+    (2.0, 0.1, 2000.0): (197, 225, 243, 251),
+    (4.0, 0.0, 1000.0): (272, 380, 533, 707, 859, 1012, 1121),
+    (4.0, 0.0, 2000.0): (521, 655, 842, 1029, 1216, 1377, 1511),
+    (4.0, 0.1, 1000.0): (123, 153, 173, 183),
+    (4.0, 0.1, 2000.0): (180, 206, 224, 231),
 }
 SIM2_PLANS = {
-    (4.0, 0.2, 1000.0): (183, 16), (4.0, 0.2, 2000.0): (222, 16),
-    (4.0, 0.4, 1000.0): (159, 16), (4.0, 0.4, 2000.0): (186, 16),
-    (4.0, 0.8, 1000.0): (139, 16), (4.0, 0.8, 2000.0): (159, 16),
-    (8.0, 0.2, 1000.0): (150, 17), (8.0, 0.2, 2000.0): (192, 16),
-    (8.0, 0.4, 1000.0): (138, 16), (8.0, 0.4, 2000.0): (168, 16),
-    (8.0, 0.8, 1000.0): (127, 16), (8.0, 0.8, 2000.0): (149, 16),
-    (10.0, 0.2, 1000.0): (134, 17), (10.0, 0.2, 2000.0): (178, 16),
-    (10.0, 0.4, 1000.0): (129, 16), (10.0, 0.4, 2000.0): (159, 16),
-    (10.0, 0.8, 1000.0): (123, 16), (10.0, 0.8, 2000.0): (143, 16),
+    (4.0, 0.2, 1000.0): (169, 198, 213, 219),
+    (4.0, 0.2, 2000.0): (226, 243, 253),
+    (4.0, 0.4, 1000.0): (162, 176, 182),
+    (4.0, 0.4, 2000.0): (189, 201, 206),
+    (4.0, 0.8, 1000.0): (142, 151, 155),
+    (4.0, 0.8, 2000.0): (162, 169, 172),
+    (8.0, 0.2, 1000.0): (134, 162, 180, 186),
+    (8.0, 0.2, 2000.0): (196, 213, 223),
+    (8.0, 0.4, 1000.0): (139, 153, 162),
+    (8.0, 0.4, 2000.0): (172, 184, 188),
+    (8.0, 0.8, 1000.0): (129, 139, 143),
+    (8.0, 0.8, 2000.0): (151, 159, 161),
+    (10.0, 0.2, 1000.0): (119, 148, 166, 171),
+    (10.0, 0.2, 2000.0): (183, 199, 209),
+    (10.0, 0.4, 1000.0): (129, 145, 152),
+    (10.0, 0.4, 2000.0): (163, 175, 179),
+    (10.0, 0.8, 1000.0): (122, 132, 136),
+    (10.0, 0.8, 2000.0): (145, 153, 156),
 }
+BUNDLED_CELLS = [(linear(a, b, simulate.DEFAULT_SIGMA), tau) for a, b, tau in SIM1_PLANS] + [
+    (seasonal(a, b, simulate.DEFAULT_SIGMA), tau) for a, b, tau in SIM2_PLANS
+]
+
+
+@cache
+def _plan_model(case):
+    # candidate days and survival S(n) = P(Z_n <= tau) of a bundled cell,
+    # recomputed with scipy's normal CDF over every day
+    spec, tau = BUNDLED_CELLS[case]
+    days = np.arange(1, simulate.MAX_HORIZON + 1)
+    mean = np.cumsum(spec.mean_at(days))
+    survival = np.concatenate(([1.0], stats.norm.cdf((tau - mean) / (spec.noise_sigma * np.sqrt(days)))))
+    first, last = int(np.argmax(survival < 0.999)), int(np.argmax(survival < 1e-7))
+    k = simulate._CANDIDATES - 1
+    candidates = sorted({first + i * (last - first) // k for i in range(k + 1)})
+    return tuple(candidates), survival
+
+
+def _modelled_cost(ends, survival):
+    # cost per replicate of the blocks (0, e_1], (e_1, e_2], ...
+    total, a = 0.0, 0
+    for b in ends:
+        s = survival[a]
+        total += (simulate._C_BLOCK * (1 - (1 - s) ** simulate._CHUNK) / simulate._CHUNK
+                  + s * (simulate._C_ROW + simulate._C_DAY * (b - a)))
+        a = b
+    return total
 
 
 class TestBlockPlan:
@@ -296,26 +340,72 @@ class TestBlockPlan:
         for (a, b, tau), plan in SIM2_PLANS.items():
             assert block_plan(seasonal(a, b, sigma), tau) == plan
 
-    def test_first_block_ends_two_sd_past_the_mean_crossing(self):
-        # mean path 4n crosses 1000 on day 251; s = 20*sqrt(251)/4 = 79.2
-        assert block_plan(linear(4, 0, 20), 1000.0) == (410, 80)
+    def test_noiseless_and_uncrossed_cells(self):
+        # sigma = 0: one block, ending on the first day the mean path 4n
+        # exceeds 1000 (Z_250 = 1000 ties and continues)
+        assert block_plan(linear(4, 0, 0), 1000.0) == (251,)
+        # no mean crossing: the mean path 0.01n stays below 1000
+        assert block_plan(linear(0.01, 0, 20), 1000.0) == ()
+        assert block_plan(linear(0.01, 0, 0), 1000.0) == ()
+        # the mean path 0.1n crosses 999 on day 9991, but S(10_000) =
+        # Phi(-0.0005) never falls below 1e-7
+        assert block_plan(linear(0.1, 0, 20), 999.0) == ()
 
     def test_block_bounds(self, monkeypatch):
-        # noiseless: later blocks are never shorter than _MIN_BLOCK
-        assert block_plan(linear(4, 0, 0), 1000.0) == (251, simulate._MIN_BLOCK)
-        # mean path 0.5n crosses on day 2001 with s = 1789.3: the first block
-        # is capped
-        assert block_plan(linear(0.5, 0, 20), 1000.0) == (simulate._MAX_BLOCK, 1790)
-        # no mean crossing within the horizon: every block is the largest
-        monkeypatch.setattr(simulate, "MAX_HORIZON", 100)
-        assert block_plan(linear(0.01, 0, 0), 1000.0) == (simulate._MAX_BLOCK,) * 2
+        # every block of the bundled cells and of cells crossing past the
+        # first _MAX_BLOCK days is 1 to _MAX_BLOCK days, within the horizon;
+        # uncapped, the cheapest plan of linear(0.8, 0, 2.5) at 3600 would
+        # open with a 4443-day block
+        cases = BUNDLED_CELLS + [
+            (linear(0.5, 0, 1), 2500.0), (linear(0.25, 0, 0), 1024.0), (linear(0.8, 0, 2.5), 3600.0),
+        ]
+        for spec, tau in cases:
+            plan = block_plan(spec, tau)
+            blocks = np.diff((0,) + plan)
+            assert len(plan) and plan[-1] <= simulate.MAX_HORIZON
+            assert blocks.min() >= 1 and blocks.max() <= simulate._MAX_BLOCK, (spec, tau, plan)
+        # the mean path 0.5n crosses 2500 on day 5001: _MAX_BLOCK days run
+        # ahead of the first candidate day
+        plan = block_plan(linear(0.5, 0, 1), 2500.0)
+        assert plan[0] == simulate._MAX_BLOCK < plan[1]
         # the mean path 0.25n first exceeds 1024 on day 4097, one day past
         # the first _MAX_BLOCK days
         spec = linear(0.25, 0, 0)
+        assert block_plan(spec, 1024.0) == (simulate._MAX_BLOCK, 4097)
         monkeypatch.setattr(simulate, "MAX_HORIZON", 4096)
-        assert block_plan(spec, 1024.0) == (simulate._MAX_BLOCK,) * 2
-        monkeypatch.setattr(simulate, "MAX_HORIZON", 4097)
-        assert block_plan(spec, 1024.0) == (simulate._MAX_BLOCK, simulate._MIN_BLOCK)
+        assert block_plan(spec, 1024.0) == ()
+        # past the plan's ends, blocks are _MAX_BLOCK days up to MAX_HORIZON
+        monkeypatch.setattr(simulate, "MAX_HORIZON", 10_000)
+        monkeypatch.setattr(simulate, "_block_plan", lambda *args: (5,))
+        block_values, lengths = simulate._block_values, []
+
+        def spy(spec, rngs, mu):
+            lengths.append(len(mu))
+            return block_values(spec, rngs, mu)
+
+        monkeypatch.setattr(simulate, "_block_values", spy)
+        with pytest.raises(HorizonExceeded):
+            simulate.simulate_hitting_times(linear(0.01, 0, 0), 1000.0, 3, seed=1)
+        assert lengths == [5, 4096, 4096, 1803]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(range(len(BUNDLED_CELLS))), keep=st.lists(st.booleans()))
+    @example(case=1, keep=[True] * simulate._CANDIDATES)
+    @example(case=1, keep=[])
+    def test_plan_is_the_cheapest_chain_of_candidates(self, case, keep):
+        # no plan through the same candidate days, ending on the last one,
+        # costs less under the model: neither one drawn from the candidates
+        # nor one that drops a chosen end or adds a candidate
+        candidates, survival = _plan_model(case)
+        plan = block_plan(*BUNDLED_CELLS[case])
+        assert set(plan) <= set(candidates) and plan[-1] == candidates[-1]
+        drawn = tuple(c for c, k in zip(candidates[:-1], keep) if k) + candidates[-1:]
+        nearby = [plan[:i] + plan[i + 1:] for i in range(len(plan) - 1)]
+        nearby += [tuple(sorted(plan + (c,))) for c in candidates if c not in plan]
+        best = _modelled_cost(plan, survival)
+        for other in [drawn] + nearby:
+            if np.diff((0,) + other).max() <= simulate._MAX_BLOCK:
+                assert best <= _modelled_cost(other, survival) * (1 + 1e-9), other
 
     def test_mean_path_is_read_only(self, monkeypatch):
         # every block of a cell adds its slice of one shared mean path, so a
@@ -338,28 +428,27 @@ class TestBlockPlan:
     @settings(max_examples=40, deadline=None)
     @given(
         case=st.sampled_from(range(len(PLAN_CASES))),
-        first=st.integers(1, 500),
-        later=st.integers(1, 300),
+        ends=st.lists(st.integers(1, 600), unique=True, max_size=20).map(lambda e: tuple(sorted(e))),
         edge_row=st.none() | st.integers(0, PLAN_REPLICATES - 1),
     )
-    @example(case=0, first=1, later=1, edge_row=None)
-    @example(case=1, first=1, later=1, edge_row=None)
-    @example(case=2, first=256, later=256, edge_row=None)
-    def test_hitting_times_do_not_depend_on_the_plan(self, case, first, later, edge_row):
+    @example(case=0, ends=tuple(range(1, 601)), edge_row=None)
+    @example(case=1, ends=tuple(range(1, 601)), edge_row=None)
+    @example(case=2, ends=(), edge_row=None)
+    def test_hitting_times_do_not_depend_on_the_plan(self, case, ends, edge_row):
         # day k is the stream's k-th draw and Z_n the sequential sum whatever
-        # the block lengths; with edge_row set, that row crosses on the last
-        # day of the first block and the first row crossing after it on the
-        # last day of a later block
+        # the block ends, 1-day blocks and the empty plan included; with
+        # edge_row set, that row crosses on the last day of the first block
+        # and the first row crossing after it on the last day of the second
         spec, tau, cell = PLAN_CASES[case]
         expected = [_one_path_hitting_time(spec, tau, simulate.substream(5, cell, i))
                     for i in range(PLAN_REPLICATES)]
         if edge_row is not None:
-            first = expected[edge_row]
-            after = [nu - first for nu in expected if nu > first]
-            if after:
-                later = min(after)
+            edge = expected[edge_row]
+            after = [nu for nu in expected if nu > edge]
+            head = (edge, min(after)) if after else (edge,)
+            ends = head + tuple(end for end in ends if end > head[-1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_block_plan", lambda *args: (first, later))
+            mp.setattr(simulate, "_block_plan", lambda *args: ends)
             times = simulate.simulate_hitting_times(spec, tau, PLAN_REPLICATES, seed=5, cell=cell)
         assert times.tolist() == expected
 
