@@ -89,10 +89,14 @@ class ParseResult:
     rejected: int
 
 
-# Rows converted per pass, and the most distinct strings a column keeps
+# Lines read per chunk, and the most distinct cells a column keeps
 # converted. Both bound peak memory; outputs do not depend on either.
-_PARSE_ROWS = 1024
+_PARSE_ROWS = 4096
 _MEMO_CELLS = 1 << 16
+# Bytes of the widest field of a keyed line (see _line_columns): two uint64
+# words. _MASKS[k] keeps the first k bytes of a little-endian word.
+_WIDE = 16
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _UNIX_EPOCH = datetime.date(1970, 1, 1).toordinal()
 _NO_DAY = np.iinfo(np.int64).min
@@ -113,6 +117,14 @@ def parse_temperature_csv(
     coordinates are out of range, or tmin exceeds tmax. Blank rows are
     skipped. units="tenths" divides temperatures by 10 (raw GHCND convention).
 
+    Lines are read _PARSE_ROWS at a time. In a chunk without a quote or a
+    NUL, a line with exactly five commas and no field over _WIDE bytes is
+    keyed (see _line_columns): each distinct field is converted once per
+    file. csv.reader splits every other line, and reads the rest of the
+    file from the first chunk with a quote or a NUL. Every cell goes
+    through the same converters, so the path a line takes changes no value
+    and no accept or reject decision.
+
     With observations given, records keeps only the accepted rows that
     build_analysis_rows(observations, ...) can read (see _JoinRows), so
     memory follows the kept rows; that join's output and rejected are the
@@ -131,8 +143,10 @@ def parse_temperature_csv(
         reading,  # tmin
     )
     codes: dict[str, int] = {}
-    chunks: list[tuple[np.ndarray, ...]] = []
-    rejected = 0
+    # kept rows go into columns that double when full, not into per-chunk
+    # pieces held to the end, which leave the heap fragmented
+    columns = [np.empty(0, np.intp), np.empty(0, np.int64)] + [np.empty(0)] * 4
+    n = rejected = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
@@ -144,13 +158,16 @@ def parse_temperature_csv(
             )
         # map holds no chunk, so a chunk's rows are freed before the next is read
         parse = functools.partial(_parse_rows, cells=cells, codes=codes, keep=keep)
-        for columns, n_rejected in map(parse, _row_chunks(fh)):
-            if len(columns[0]):
-                chunks.append(columns)
+        for part, n_rejected in map(parse, _row_chunks(fh)):
+            k = len(part[0])
+            if n + k > len(columns[0]):
+                size = max(n + k, 2 * len(columns[0]))
+                columns = [np.concatenate((c[:n], np.empty(size - n, c.dtype))) for c in columns]
+            for c, rows in zip(columns, part):
+                c[n : n + k] = rows
+            n += k
             rejected += n_rejected
-    if not chunks:  # no kept row: one chunk of typed empty columns
-        chunks.append((np.empty(0, np.intp), np.empty(0, np.int64)) + (np.empty(0),) * 4)
-    table = StationTable(tuple(codes), *map(np.concatenate, zip(*chunks)))
+    table = StationTable(tuple(codes), *(c[:n].copy() for c in columns))
     return ParseResult(records=table, rejected=rejected)
 
 
@@ -209,33 +226,152 @@ class _JoinRows:
         return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(float(a.min()), 1.0)))
 
 
-def _row_chunks(fh: TextIO) -> Iterator[list[list[str]]]:
-    """The rows of fh, _PARSE_ROWS lines at a time.
+def _row_chunks(fh: TextIO) -> Iterator[list[list[str]] | np.ndarray]:
+    """The lines of fh, _PARSE_ROWS at a time: as bytes, or as csv's rows.
 
-    Each line is split at its commas until a chunk holds a quote, a NUL or
-    a line longer than csv.field_size_limit(); from that chunk on,
-    csv.reader reads the rest of the file, so quoted fields (and the line
-    breaks inside them), NULs and over-long fields follow csv's rules. Split
-    lines give the rows csv would: no other character is special to it.
+    A chunk without a quote, a NUL or a lone CR comes as its UTF-8 bytes,
+    LF-terminated and followed by _WIDE zero bytes, for _line_columns. A
+    chunk with a lone CR comes as csv.reader's rows. From the first chunk
+    that holds a quote or a NUL on, csv.reader reads the rest of the file,
+    so quoted fields (and the line breaks inside them) and NULs follow
+    csv's rules. Unquoted lines give the rows csv would: no other character
+    is special to it, and the lines _line_columns does not key go to
+    csv.reader, which refuses a field over csv.field_size_limit().
     """
-    limit = csv.field_size_limit()
     while lines := list(itertools.islice(fh, _PARSE_ROWS)):
         text = "".join(lines)
-        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+        if '"' in text or "\0" in text:
             reader = csv.reader(itertools.chain(lines, fh))
             del lines, text
             yield from iter(lambda: list(itertools.islice(reader, _PARSE_ROWS)), [])
             return
-        del text
-        yield [line.rstrip("\r\n").split(",") for line in lines]
-        del lines  # freed before the next chunk is read
+        if "\r" in text and text.count("\r") != text.count("\r\n"):  # a lone CR ends a line
+            chunk = list(csv.reader(lines))
+        else:
+            lines.clear()  # freed before the text is encoded
+            text += "" if text.endswith("\n") else "\n"
+            chunk = np.frombuffer(text.encode() + bytes(_WIDE), np.uint8)
+        del lines, text
+        yield chunk
+        del chunk  # freed before the next chunk is read
+
+
+def _line_columns(buf: np.ndarray, cells: tuple[_Cells, ...]) -> tuple:
+    """The six converted columns of a chunk's lines, and whether line k is blank.
+
+    buf holds LF-terminated lines, then _WIDE zero bytes; a CR before an
+    LF is no part of its line. A line is keyed when it has exactly five
+    commas and no field longer than _WIDE bytes, and its fields go through
+    _Cells.keyed. csv.reader splits every other line, and its rows are
+    converted as csv's rows are.
+    """
+    sep = np.flatnonzero((buf == 44) | (buf == 10))  # commas and LFs
+    lf = np.flatnonzero(buf[sep] == 10)
+    end = sep[lf]
+    start = np.concatenate(([0], end[:-1] + 1))
+    end -= buf[end - 1] == 13  # buf[-1] is a zero byte
+    keyed = np.flatnonzero(np.diff(lf, prepend=-1) == 6)
+    at = lf[keyed]  # field j of keyed line k is bounds[j, k] + 1 to bounds[j + 1, k]
+    bounds = np.stack([start[keyed] - 1] + [sep[at + j] for j in range(-5, 0)] + [end[keyed]])
+    del sep
+    narrow = (np.diff(bounds, axis=0) <= _WIDE + 1).all(axis=0)
+    if not narrow.all():
+        keyed, bounds = keyed[narrow], bounds[:, narrow]
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # unaligned
+    columns = [conv.keyed(buf, words, a + 1, b) for conv, a, b in zip(cells, bounds, bounds[1:])]
+    if len(keyed) < len(start):
+        rest = np.ones(len(start), dtype=bool)
+        rest[keyed] = False
+        rest = np.flatnonzero(rest)
+        split = _row_columns(list(csv.reader(_decode(buf, start[rest], end[rest]))), cells)
+        for j, (conv, values) in enumerate(zip(cells, split)):
+            column = np.empty(len(start), conv.dtype or object)
+            column[keyed], column[rest] = columns[j], values
+            columns[j] = column
+
+    def blank(k: int) -> bool:
+        return not buf[start[k] : end[k]].tobytes().decode().replace(",", "").strip()
+
+    return (*columns, blank)
+
+
+def _decode(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Iterator[str]:
+    return (buf[a:b].tobytes().decode() for a, b in zip(start.tolist(), end.tolist()))
+
+
+def _key_hash(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A hash of each key (lo, hi); keys with equal hashes may differ."""
+    return lo * np.uint64(0x9E3779B97F4A7C15) ^ hi * np.uint64(0xC2B2AE3D27D4EB4F)
 
 
 class _Cells:
-    """One column's converter: each distinct cell string is converted once."""
+    """One column's converter: each distinct cell is converted once, while
+    the column holds at most _MEMO_CELLS converted cells.
+
+    Cells of csv's rows go through memo, a dict keyed by the cell's string.
+    Fields of keyed lines go through a table keyed by the field's bytes,
+    zero-padded to _WIDE, as two little-endian uint64 words (lo, hi); no
+    NUL reaches a keyed line, so equal keys are equal fields. The table is
+    sorted by _key_hash, whose values are unique in it.
+    """
 
     def __init__(self, convert, dtype) -> None:
         self.convert, self.dtype, self.memo = convert, dtype, {}
+        self.keys = np.empty((3, 0), np.uint64)  # hash, lo and hi of each
+        self.values = np.empty(0, dtype or object)
+
+    def keyed(self, buf: np.ndarray, words: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """The converted fields buf[start[i]:end[i]], each at most _WIDE bytes.
+
+        words[k] is the little-endian uint64 at buf[k]. Each run of equal
+        keys is looked up once, in the order of a sort of their hashes. A
+        key new to the table is converted from the string of one of its
+        fields. If two keys share a hash, every field's string goes
+        through __call__ instead.
+        """
+        if not len(start):
+            return self.values[:0]
+        width = end - start
+        lo = words[start] & _MASKS[np.minimum(width, 8)]
+        hi = words[start + 8] & _MASKS[np.maximum(width - 8, 0)] if width.max() > 8 else np.zeros_like(lo)
+        first = np.flatnonzero(np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))))
+        h = _key_hash(lo[first], hi[first])
+        order = np.argsort(h)
+        h, lo, hi = h[order], lo[first[order]], hi[first[order]]
+        same = h[1:] == h[:-1]
+        if (same & ((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))).any():
+            slot = None  # two keys share a hash
+        else:
+            head = np.flatnonzero(np.concatenate(([True], ~same)))
+            h, lo, hi = h[head], lo[head], hi[head]
+            slot = self._find(h, lo, hi)
+        if slot is not None and (slot < 0).any():
+            if len(self.values) > _MEMO_CELLS:
+                self.keys, self.values, slot[:] = self.keys[:, :0], self.values[:0], -1
+            new = np.flatnonzero(slot < 0)
+            at = np.searchsorted(self.keys[0], h[new])
+            self.keys = np.insert(self.keys, at, (h[new], lo[new], hi[new]), axis=1)
+            fields = first[order[head[new]]]
+            cells = _decode(buf, start[fields], end[fields])
+            self.values = np.insert(self.values, at, [self.convert(c) for c in cells])
+            slot = self._find(h, lo, hi)
+        if slot is None:
+            return np.asarray(self(list(_decode(buf, start, end))), self.values.dtype)
+        values = np.empty(len(first), self.values.dtype)
+        values[order] = np.repeat(self.values[slot], np.diff(head, append=len(order)))
+        return np.repeat(values, np.diff(first, append=len(start)))
+
+    def _find(self, h: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+        """Each key's index in the table, -1 if absent; None if a table key
+        with the same hash differs."""
+        table_h, table_lo, table_hi = self.keys
+        if not len(table_h):
+            return np.full(len(h), -1)
+        at = np.minimum(np.searchsorted(table_h, h), len(table_h) - 1)
+        same = table_h[at] == h
+        if (same & ((table_lo[at] != lo) | (table_hi[at] != hi))).any():
+            return None
+        return np.where(same, at, -1)
 
     def __call__(self, column: Sequence[str | None]):
         """The converted column: an array of dtype, or a list if dtype is None."""
@@ -256,7 +392,7 @@ class _Cells:
 
 
 def _parse_rows(
-    rows: list[list[str]],
+    chunk: list[list[str]] | np.ndarray,
     cells: tuple[_Cells, ...],
     codes: dict[str, int],
     keep: _JoinRows | None,
@@ -264,20 +400,18 @@ def _parse_rows(
     """Columns of the accepted rows that keep passes, in order, and the
     count of rejected ones (keep None passes every row).
 
-    A cell that fails marks its row: "" for a station id, -1 for a date,
-    NaN for a coordinate, inf for a reading (NaN there is a blank). Station
-    ids of kept rows join codes in file order.
+    chunk is csv's rows, or lines as bytes for _line_columns. A cell that
+    fails marks its row: "" for a station id, -1 for a date, NaN for a
+    coordinate, inf for a reading (NaN there is a blank). Station ids of
+    kept rows join codes in file order.
     """
-    n = len(rows)
-    columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
-    columns += [(None,) * n] * (6 - len(columns))  # every row is short
-    ids, day, lat, lon, tmax, tmin = (conv(col) for conv, col in zip(cells, columns))
-    has_id = np.fromiter(map(bool, ids), dtype=bool, count=n)
+    columns = (_line_columns if isinstance(chunk, np.ndarray) else _row_columns)(chunk, cells)
+    ids, day, lat, lon, tmax, tmin, blank = columns
+    has_id = ids != ""
     ok = has_id & (day > 0) & ~np.isnan(lat) & ~np.isnan(lon)
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
-    n_blank = sum(all(not c.strip() for c in rows[k]) for k in np.flatnonzero(~has_id))
-    accepted = list(itertools.compress(ids, ok.tolist()))
-    n_rejected = n - len(accepted) - n_blank
+    accepted = ids[ok].tolist()
+    n_rejected = len(ids) - len(accepted) - sum(map(blank, np.flatnonzero(~has_id).tolist()))
     columns = (day[ok], lat[ok], lon[ok], tmax[ok], tmin[ok])
     if keep is not None:
         kept = keep(accepted, *columns[:3])
@@ -288,6 +422,19 @@ def _parse_rows(
         codes.setdefault(s, len(codes))
     station = np.fromiter(map(codes.__getitem__, accepted), dtype=np.intp, count=len(accepted))
     return (station, *columns), n_rejected
+
+
+def _row_columns(rows: list[list[str]], cells: tuple[_Cells, ...]) -> tuple:
+    """The six converted columns of rows, and whether row k is blank."""
+    n = len(rows)
+    columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
+    columns += [(None,) * n] * (6 - len(columns))  # every row is short
+    ids, *values = (conv(col) for conv, col in zip(cells, columns))
+
+    def blank(k: int) -> bool:
+        return all(not c.strip() for c in rows[k])
+
+    return (np.array(ids, dtype=object), *values, blank)
 
 
 def _station_id(cell: str | None) -> str:

@@ -128,9 +128,21 @@ def quantile_bin_edges(values: Iterable[float], k: int = 4) -> np.ndarray:
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     x = np.asarray(list(values), dtype=float)
-    if len(x) < k:
-        raise ParameterError(f"need at least k={k} values, got {len(x)}")
-    interior = np.quantile(x, [i / k for i in range(1, k)], method="linear")
+    n = len(x)
+    if n < k:
+        raise ParameterError(f"need at least k={k} values, got {n}")
+    # np.quantile(x, q, method="linear") step by step, without the np.unique
+    # call that would import numpy.ma; partitioned as it partitions, so
+    # even the sign of a zero edge is the same
+    q = np.array([i / k for i in range(1, k)])
+    index = (n - 1) * q
+    below = np.floor(index).astype(np.intp)
+    t = index - below
+    part = np.partition(x, sorted({0, n - 1, *below.tolist(), *(below + 1).tolist()}))
+    a, b = part[below], part[below + 1]
+    interior = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    if np.isnan(part[-1]):  # NaN partitions last; np.quantile gives NaN
+        interior[:] = np.nan
     return np.concatenate(([x.min()], interior, [x.max()]))
 
 

@@ -321,8 +321,10 @@ def _write_lilac_fixture(root, alpha_shift=None):
     (root / "lilac_phenology.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _past_one_chunk(lines):
-    """The fixture's header and its rows three times over: more than one parse chunk."""
+def _past_one_chunk(lines, monkeypatch):
+    """The fixture's header and its rows three times over: more than one parse
+    chunk, once chunks are cut to 256 lines."""
+    monkeypatch.setattr(data_io, "_PARSE_ROWS", 256)
     assert 3 * (len(lines) - 1) > data_io._PARSE_ROWS + 1
     return lines[:1] + lines[1:] * 3
 
@@ -503,7 +505,8 @@ class TestReproduceLilacBins:
              "temperature_directory", "temperature_long_field", "phenology_long_field",
              "temperature_long_field_late"],
     )
-    def test_unreadable_input_exits_2_without_run_dir(self, runner, tmp_path, filename, damage):
+    def test_unreadable_input_exits_2_without_run_dir(self, runner, tmp_path, monkeypatch,
+                                                      filename, damage):
         _write_lilac_fixture(tmp_path / "data")
         path = tmp_path / "data" / filename
         if damage == "byte_e9":
@@ -519,7 +522,7 @@ class TestReproduceLilacBins:
             lines = path.read_text(encoding="utf-8").splitlines()
             row = 1
             if damage == "long_field_late":
-                lines = _past_one_chunk(lines)
+                lines = _past_one_chunk(lines, monkeypatch)
                 row = data_io._PARSE_ROWS + 1
             lines[row] = "X" * 200_000 + lines[row]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -533,12 +536,12 @@ class TestReproduceLilacBins:
         assert f"cannot read {path}" in result.output
         assert not (tmp_path / "runs").exists()
 
-    def test_nul_past_the_first_chunk_reads_as_csv_does(self, runner, tmp_path):
+    def test_nul_past_the_first_chunk_reads_as_csv_does(self, runner, tmp_path, monkeypatch):
         # csv refuses a NUL before Python 3.11 and reads it as a plain
         # character since; here it spoils one tmin reading
         _write_lilac_fixture(tmp_path / "data")
         path = tmp_path / "data" / "daily_temperatures.csv"
-        lines = _past_one_chunk(path.read_text(encoding="utf-8").splitlines())
+        lines = _past_one_chunk(path.read_text(encoding="utf-8").splitlines(), monkeypatch)
         lines[data_io._PARSE_ROWS + 1] += "\0"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = runner.invoke(
@@ -821,6 +824,23 @@ class TestRuntimeDependencies:
         assert proc.stdout == bare.stdout
         if package == "scipy":
             assert proc.stdout.strip() == "[]"
+
+    def test_lilac_bins_loads_no_numpy_ma(self, tmp_path):
+        # np.quantile's np.unique imports numpy.ma (about 1 MiB); numpy
+        # before 2.0 loads it on import itself
+        _write_lilac_fixture(tmp_path / "data")
+        args = ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+                "--data-dir", str(tmp_path / "data")]
+        proc = _fresh_python(
+            "import sys, numpy\n"
+            "bare = 'numpy.ma' in sys.modules\n"
+            "from thermalsum.cli import main\n"
+            f"main({args!r}, standalone_mode=False)\n"
+            "print(bare, 'numpy.ma' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        bare, loaded = proc.stdout.split()[-2:]
+        assert loaded == bare
 
     def test_sim1_and_its_checks_run_with_scipy_blocked(self):
         proc = _fresh_python(

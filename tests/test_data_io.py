@@ -21,6 +21,7 @@ from thermalsum import data_io, regimes
 from thermalsum.errors import EmptyFile, MissingHeader, ParameterError
 
 HEADER = "station_id,date,lat,lon,tmax,tmin"
+CRLF = "\r\n"
 
 
 def write(tmp_path, name, text):
@@ -175,24 +176,36 @@ def test_temperature_csv_round_trip(tmp_path_factory, records):
 
 
 # Cells the parser must accept, then cells it must reject, per column; none
-# holds a comma or quote, so the lines are split directly unless the test
+# holds a comma or quote, so the lines take the byte path unless the test
 # quotes a cell itself. Rows repeat, so station-days repeat and every kind
 # of row falls in every chunk of a file longer than data_io._PARSE_ROWS.
+# Cells of 8, 9, 16 and 17 bytes sit at the edges of the two key words and
+# of the widest keyed field; some cells of one width differ only in their
+# last byte, and some 17-byte cells start with a 16-byte cell of the same
+# column. Multi-byte ids count their width in bytes.
 _GOOD_CELLS = [
-    ["S1", "S2", " S1 ", "USC0001"],
-    ["2021-01-01", "2021-01-02", " 2020-02-29", "1900-03-01", "2100-12-31 "],
-    ["40.0", " -12.5 ", "90", "-90.0", "1_0"],
-    ["-75.0", "180", "-180.0", " 130.25"],
-    ["5.0", "55", "-31", "", "  ", "0.1", "-0", "1e308"],
-    ["-3.0", "1.0", "55", "", " ", "0.3", "-1e308"],
+    ["S1", "S2", " S1 ", "USC0001", "STN00008", "STN000009", "STN00000X", "STN0000000000016",
+     "STN0000000000016X", "Sté", "北京-01", "\u3000S1", "ÉÉÉÉÉÉÉÉ", "ÉÉÉÉÉÉÉÉ1", "abcdefgé"],
+    ["2021-01-01", "2021-01-02", " 2020-02-29", "1900-03-01", "2100-12-31 ",
+     "  2021-01-01    ", "   2021-01-01    "],
+    ["40.0", " -12.5 ", "90", "-90.0", "1_0", "40.00000", "-12.50000", "-12.50001",
+     "40.0000000000000", "40.00000000000001"],
+    ["-75.0", "180", "-180.0", " 130.25", "-75.0000", "-75.00000", "130.250000000000",
+     "130.2500000000001"],
+    ["5.0", "55", "-31", "", "  ", "0.1", "-0", "1e308", "5.000000", "5.000001", "-5.000000",
+     "-5.000001", "5.00000000000000", "5.00000000000001", "5.000000000000001"],
+    ["-3.0", "1.0", "55", "", " ", "0.3", "-1e308", "-3.00000", "-3.000000",
+     "-3.0000000000000", "-3.00000000000001"],
 ]
 _BAD_CELLS = [
-    ["", "  "],
-    ["2021-02-29", "2021-13-01", "20210102", "2021-W01-1", "2021-1-02", "not-a-date", ""],
-    ["95.0", "nan", "-inf", "abc", "", "1e400"],
-    ["-190", "inf", "NaN", ""],
-    ["n/a", "nan", "inf", "1e400"],
-    ["abc", "-inf", "NaN"],
+    ["", "  ", " " * 16, " " * 17, "\u3000"],
+    ["2021-02-29", "2021-13-01", "20210102", "2021-W01-1", "2021-1-02", "not-a-date", "",
+     "2021-02-29       "],
+    ["95.0", "nan", "-inf", "abc", "", "1e400", "95.00000", "-95.000000000000",
+     "95.000000000000000"],
+    ["-190", "inf", "NaN", "", "-190.000", "-190.00000000000"],
+    ["n/a", "nan", "inf", "1e400", "infinity", "-infinity"],
+    ["abc", "-inf", "NaN", "1e400000", "-1e400000"],
 ]
 
 
@@ -201,7 +214,8 @@ def temperature_rows(draw):
     """A row with at most two bad cells, sometimes cut short or made long, or a blank row."""
     shape = draw(st.sampled_from(["row", "row", "row", "short", "long", "blank"]))
     if shape == "blank":
-        return draw(st.sampled_from([[], ["", ""], [" "] * 6, [""] * 7]))
+        return draw(st.sampled_from([[], ["", ""], [" "] * 6, [""] * 6, [""] * 7,
+                                     ["\u3000", " ", "", "\t", "  ", ""]]))
     row = [draw(st.sampled_from(cells)) for cells in _GOOD_CELLS]
     for k in draw(st.sets(st.integers(0, 5), max_size=2)):
         row[k] = draw(st.sampled_from(_BAD_CELLS[k]))
@@ -217,7 +231,7 @@ def temperature_rows(draw):
     extra=st.integers(-40, 40),
     units=st.sampled_from(["degrees", "tenths"]),
     memo_cells=st.sampled_from([2, data_io._MEMO_CELLS]),
-    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    ending=st.sampled_from(["\n", "\r\n", "\r", "mixed"]),
     quoted=st.sampled_from([None, "late", "comma", "straddle"]),
     at=st.integers(1, 2),
 )
@@ -238,17 +252,60 @@ def test_columnar_parse_equals_row_oracle(
         if quoted == "late":
             cells = [f'"{c}"' for c in cells]
         else:
-            cells = ['"S,1"' if quoted == "comma" else f'"S{ending}1"'] + cells[1:]
+            line_break = CRLF if ending == "mixed" else ending
+            cells = ['"S,1"' if quoted == "comma" else f'"S{line_break}1"'] + cells[1:]
         lines[k - 1] = ",".join(cells)
     path = tmp_path_factory.mktemp("differential") / "t.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(ending.join([HEADER] + lines) + ending)
+    write_lines(path, [HEADER] + lines, ending)
     with mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
         parsed = data_io.parse_temperature_csv(path, units=units)
     records, rejected = parse_temperature_rows(path, units=units)
     assert to_records(parsed.records) == records
     assert parsed.rejected == rejected
     assert len(parsed.records) == len(records)
+
+
+def write_lines(path, lines, ending):
+    """Each line, then ending; "mixed" ends them in LF and CRLF by turns."""
+    endings = itertools.cycle(["\n", CRLF] if ending == "mixed" else [ending])
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(line + end for line, end in zip(lines, endings))
+
+
+@st.composite
+def keyed_rows(draw):
+    """Six cells, at most one of them bad: most such lines are keyed and accepted."""
+    row = [draw(st.sampled_from(cells)) for cells in _GOOD_CELLS]
+    for k in draw(st.sets(st.integers(0, 5), max_size=1)):
+        row[k] = draw(st.sampled_from(_BAD_CELLS[k]))
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(keyed_rows(), min_size=10, max_size=60),
+    chunk_rows=st.sampled_from([1, 3, 7]),
+    ending=st.sampled_from(["\n", "mixed"]),
+    constant_hash=st.booleans(),
+    memo_cells=st.sampled_from([2, data_io._MEMO_CELLS]),
+)
+def test_short_chunks_and_colliding_hashes_equal_row_oracle(
+    tmp_path_factory, rows, chunk_rows, ending, constant_hash, memo_cells
+):
+    # Chunks of 1 to 7 lines bring keys old and new to each column's table,
+    # and a table of more than 2 keys is cleared by a chunk with a new one.
+    # With a constant key hash, every two keys collide, in a chunk and
+    # against the table.
+    path = tmp_path_factory.mktemp("short") / "t.csv"
+    write_lines(path, [HEADER] + [",".join(row) for row in rows], ending)
+    key_hash = (lambda lo, hi: np.zeros(len(lo), np.uint64)) if constant_hash else data_io._key_hash
+    with mock.patch.object(data_io, "_key_hash", key_hash), \
+         mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows), \
+         mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
+        parsed = data_io.parse_temperature_csv(path)
+    records, rejected = parse_temperature_rows(path)
+    assert to_records(parsed.records) == records
+    assert parsed.rejected == rejected
 
 
 def station_year_series(table, station_id, year):

@@ -118,6 +118,31 @@ class TestQuantileBinEdges:
             fitting.quantile_bin_edges([1, 2, 3], k=4)
 
 
+@st.composite
+def _edge_inputs(draw):
+    """(values, k): ties, values rounded to 0-2 decimals (signed zeros too),
+    and n == k."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.sampled_from([k, k + 1]) | st.integers(k, 60))
+    floats = st.floats(-1e6, 1e6)
+    cells = st.one_of(
+        floats,
+        st.tuples(floats.map(lambda v: v / 1e6), st.integers(0, 2)).map(lambda p: round(*p)),
+        st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+    )
+    return draw(st.lists(cells, min_size=n, max_size=n)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_edge_inputs())
+def test_quantile_edges_match_numpy_bit_for_bit(inputs):
+    values, k = inputs
+    edges = fitting.quantile_bin_edges(values, k)
+    oracle = np.quantile(np.array(values), [i / k for i in range(1, k)], method="linear")
+    assert edges[1:-1].tobytes() == oracle.tobytes()
+    assert edges[0] == min(values) and edges[-1] == max(values)
+
+
 class TestBinLocationScale:
     def test_two_point_cell(self):
         grid = fitting.bin_location_scale(
