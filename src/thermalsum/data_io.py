@@ -63,17 +63,18 @@ class AnalysisRow:
 class StationTable:
     """Station-day records as columns, one entry per record in file order.
 
-    station[k] indexes station_ids, the distinct ids in order of first
-    appearance; day[k] is the date's proleptic Gregorian ordinal
-    (datetime.date.toordinal). The float columns hold NaN for a blank
-    tmax/tmin reading.
+    station_ids are the distinct ids in order of first appearance, and
+    station c sits at (latitude[c], longitude[c]), the coordinates of its
+    first accepted row. station[k] indexes station_ids; day[k] is the
+    date's proleptic Gregorian ordinal (datetime.date.toordinal). tmax and
+    tmin hold NaN for a blank reading.
     """
 
     station_ids: tuple[str, ...]
-    station: np.ndarray
-    day: np.ndarray
     latitude: np.ndarray
     longitude: np.ndarray
+    station: np.ndarray
+    day: np.ndarray
     tmax: np.ndarray
     tmin: np.ndarray
 
@@ -125,10 +126,10 @@ def parse_temperature_csv(
     through the same converters, so the path a line takes changes no value
     and no accept or reject decision.
 
-    With observations given, records keeps only the accepted rows that
-    build_analysis_rows(observations, ...) can read (see _JoinRows), so
-    memory follows the kept rows; that join's output and rejected are the
-    same as without them.
+    With observations given, records keeps only the stations and the
+    accepted rows that build_analysis_rows(observations, ...) can read (see
+    _JoinRows), so memory follows the kept rows; that join's output and
+    rejected are the same as without them.
     """
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
@@ -142,10 +143,12 @@ def parse_temperature_csv(
         reading,  # tmax
         reading,  # tmin
     )
+    # each station seen, with its code, or -1 for one the join cannot match
     codes: dict[str, int] = {}
+    places: list[tuple[float, float]] = []  # (lat, lon) of each code
     # kept rows go into columns that double when full, not into per-chunk
     # pieces held to the end, which leave the heap fragmented
-    columns = [np.empty(0, np.intp), np.empty(0, np.int64)] + [np.empty(0)] * 4
+    columns = [np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0), np.empty(0)]
     n = rejected = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -157,7 +160,7 @@ def parse_temperature_csv(
                 f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
             )
         # map holds no chunk, so a chunk's rows are freed before the next is read
-        parse = functools.partial(_parse_rows, cells=cells, codes=codes, keep=keep)
+        parse = functools.partial(_parse_rows, cells=cells, codes=codes, places=places, keep=keep)
         for part, n_rejected in map(parse, _row_chunks(fh)):
             k = len(part[0])
             if n + k > len(columns[0]):
@@ -167,18 +170,19 @@ def parse_temperature_csv(
                 c[n : n + k] = rows
             n += k
             rejected += n_rejected
-    table = StationTable(tuple(codes), *(c[:n].copy() for c in columns))
+    latitude, longitude = np.array(places, dtype=float).reshape(-1, 2).T.copy()
+    ids = tuple(s for s, c in codes.items() if c >= 0)
+    table = StationTable(ids, latitude, longitude, *(c[:n].copy() for c in columns))
     return ParseResult(records=table, rejected=rejected)
 
 
 class _JoinRows:
-    """Which accepted rows a join of the given observations can read.
+    """Which stations and accepted rows a join of the given observations can read.
 
-    A row stays if its station lies within MATCH_CUTOFF_KM + _MARGIN_KM of
-    some site, judged once from the station's first accepted row, and its
-    date lies in [1 Jan, 1 Jan + beta_window(year).stop) of an observed
-    year or it is the station's first accepted row (which fixes the
-    station's coordinates). The margin keeps every station the scalar
+    A station stays if it lies within MATCH_CUTOFF_KM + _MARGIN_KM of some
+    site (near), judged from its first accepted row. Its rows stay if
+    their dates lie in [1 Jan, 1 Jan + beta_window(year).stop) of an
+    observed year (__call__). The margin keeps every station the scalar
     match_station could choose, whatever the last bits of either haversine.
     """
 
@@ -195,48 +199,34 @@ class _JoinRows:
             [_NO_DAY] + [d + regimes.beta_window(y).stop for d, y in zip(jan1, years)],
             dtype=np.int64,
         )
-        self.near: dict[str, bool] = {}
 
-    def __call__(
-        self, ids: list[str], day: np.ndarray, lat: np.ndarray, lon: np.ndarray
-    ) -> np.ndarray:
-        """Mask over one chunk of accepted rows, in file order."""
-        stations = dict.fromkeys(ids)
-        first = [ids.index(s) for s in stations if s not in self.near]
-        for k in first:
-            km = self._km_to_nearest_site(float(lat[k]), float(lon[k]))
-            self.near[ids[k]] = km <= MATCH_CUTOFF_KM + _MARGIN_KM
-        near = [self.near[s] for s in stations]
-        if not any(near):
-            return np.zeros(len(ids), dtype=bool)
-        readable = day < self.stop[np.searchsorted(self.start, day, side="right") - 1]
-        readable[first] = True
-        if all(near):
-            return readable
-        return readable & np.fromiter(map(self.near.__getitem__, ids), dtype=bool, count=len(ids))
+    def __call__(self, day: np.ndarray) -> np.ndarray:
+        """Whether each date lies in an observed year's windows."""
+        return day < self.stop[np.searchsorted(self.start, day, side="right") - 1]
 
-    def _km_to_nearest_site(self, lat: float, lon: float) -> float:
-        """Haversine distance from (lat, lon) to the nearest site; inf with none."""
+    def near(self, lat: float, lon: float) -> bool:
+        """Whether (lat, lon) lies within the cutoff and margin of a site."""
         if not len(self.site_lat):
-            return math.inf
+            return False
         p = math.radians(lat)
         a = np.sin((self.site_lat - p) / 2) ** 2 + math.cos(p) * self.site_cos * np.sin(
             (self.site_lon - math.radians(lon)) / 2
         ) ** 2
-        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(float(a.min()), 1.0)))
+        km = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(float(a.min()), 1.0)))
+        return km <= MATCH_CUTOFF_KM + _MARGIN_KM
 
 
 def _row_chunks(fh: TextIO) -> Iterator[list[list[str]] | np.ndarray]:
     """The lines of fh, _PARSE_ROWS at a time: as bytes, or as csv's rows.
 
-    A chunk without a quote, a NUL or a lone CR comes as its UTF-8 bytes,
-    LF-terminated and followed by _WIDE zero bytes, for _line_columns. A
-    chunk with a lone CR comes as csv.reader's rows. From the first chunk
-    that holds a quote or a NUL on, csv.reader reads the rest of the file,
-    so quoted fields (and the line breaks inside them) and NULs follow
-    csv's rules. Unquoted lines give the rows csv would: no other character
-    is special to it, and the lines _line_columns does not key go to
-    csv.reader, which refuses a field over csv.field_size_limit().
+    A chunk without a quote or a NUL comes as its UTF-8 bytes, each line
+    ending in LF (a CR or CRLF ending, which ends an unquoted csv row,
+    made LF) and followed by _WIDE zero bytes, for _line_columns. From the
+    first chunk that holds a quote or a NUL on, csv.reader reads the rest
+    of the file, so quoted fields (and the line breaks inside them) and
+    NULs follow csv's rules. Unquoted lines give the rows csv would: no
+    other character is special to it, and the lines _line_columns does not
+    key go to csv.reader, which refuses a field over csv.field_size_limit().
     """
     while lines := list(itertools.islice(fh, _PARSE_ROWS)):
         text = "".join(lines)
@@ -245,12 +235,11 @@ def _row_chunks(fh: TextIO) -> Iterator[list[list[str]] | np.ndarray]:
             del lines, text
             yield from iter(lambda: list(itertools.islice(reader, _PARSE_ROWS)), [])
             return
-        if "\r" in text and text.count("\r") != text.count("\r\n"):  # a lone CR ends a line
-            chunk = list(csv.reader(lines))
-        else:
-            lines.clear()  # freed before the text is encoded
-            text += "" if text.endswith("\n") else "\n"
-            chunk = np.frombuffer(text.encode() + bytes(_WIDE), np.uint8)
+        lines.clear()  # freed before the text is encoded
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text += "" if text.endswith("\n") else "\n"
+        chunk = np.frombuffer(text.encode() + bytes(_WIDE), np.uint8)
         del lines, text
         yield chunk
         del chunk  # freed before the next chunk is read
@@ -259,17 +248,15 @@ def _row_chunks(fh: TextIO) -> Iterator[list[list[str]] | np.ndarray]:
 def _line_columns(buf: np.ndarray, cells: tuple[_Cells, ...]) -> tuple:
     """The six converted columns of a chunk's lines, and whether line k is blank.
 
-    buf holds LF-terminated lines, then _WIDE zero bytes; a CR before an
-    LF is no part of its line. A line is keyed when it has exactly five
-    commas and no field longer than _WIDE bytes, and its fields go through
-    _Cells.keyed. csv.reader splits every other line, and its rows are
-    converted as csv's rows are.
+    buf holds LF-terminated lines, then _WIDE zero bytes. A line is keyed
+    when it has exactly five commas and no field longer than _WIDE bytes,
+    and its fields go through _Cells.keyed. csv.reader splits every other
+    line, and its rows are converted as csv's rows are.
     """
     sep = np.flatnonzero((buf == 44) | (buf == 10))  # commas and LFs
     lf = np.flatnonzero(buf[sep] == 10)
     end = sep[lf]
     start = np.concatenate(([0], end[:-1] + 1))
-    end -= buf[end - 1] == 13  # buf[-1] is a zero byte
     keyed = np.flatnonzero(np.diff(lf, prepend=-1) == 6)
     at = lf[keyed]  # field j of keyed line k is bounds[j, k] + 1 to bounds[j + 1, k]
     bounds = np.stack([start[keyed] - 1] + [sep[at + j] for j in range(-5, 0)] + [end[keyed]])
@@ -395,15 +382,18 @@ def _parse_rows(
     chunk: list[list[str]] | np.ndarray,
     cells: tuple[_Cells, ...],
     codes: dict[str, int],
+    places: list[tuple[float, float]],
     keep: _JoinRows | None,
 ) -> tuple[tuple[np.ndarray, ...], int]:
-    """Columns of the accepted rows that keep passes, in order, and the
-    count of rejected ones (keep None passes every row).
+    """The station, day, tmax and tmin columns of the accepted rows that
+    keep passes, in order, and the count of rejected ones (keep None
+    passes every station and row).
 
     chunk is csv's rows, or lines as bytes for _line_columns. A cell that
     fails marks its row: "" for a station id, -1 for a date, NaN for a
-    coordinate, inf for a reading (NaN there is a blank). Station ids of
-    kept rows join codes in file order.
+    coordinate, inf for a reading (NaN there is a blank). A station seen
+    first joins codes, and if keep passes it, places, at its first
+    accepted row's coordinates.
     """
     columns = (_line_columns if isinstance(chunk, np.ndarray) else _row_columns)(chunk, cells)
     ids, day, lat, lon, tmax, tmin, blank = columns
@@ -412,16 +402,30 @@ def _parse_rows(
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
     accepted = ids[ok].tolist()
     n_rejected = len(ids) - len(accepted) - sum(map(blank, np.flatnonzero(~has_id).tolist()))
-    columns = (day[ok], lat[ok], lon[ok], tmax[ok], tmin[ok])
+    stations = dict.fromkeys(accepted)
+    new = [s for s in stations if s not in codes]
+    if new:
+        lat, lon = lat[ok], lon[ok]
+    k = 0
+    for s in new:
+        k = accepted.index(s, k)  # new holds ids in order of their first rows
+        place = (float(lat[k]), float(lon[k]))
+        if keep is None or keep.near(*place):
+            codes[s] = len(places)
+            places.append(place)
+        else:
+            codes[s] = -1
+    day, tmax, tmin = day[ok], tmax[ok], tmin[ok]
     if keep is not None:
-        kept = keep(accepted, *columns[:3])
+        kept = keep(day) if any(codes[s] >= 0 for s in stations) else np.zeros(len(day), bool)
         if not kept.all():
             accepted = list(itertools.compress(accepted, kept.tolist()))
-            columns = tuple(c[kept] for c in columns)
-    for s in dict.fromkeys(accepted):
-        codes.setdefault(s, len(codes))
+            day, tmax, tmin = day[kept], tmax[kept], tmin[kept]
     station = np.fromiter(map(codes.__getitem__, accepted), dtype=np.intp, count=len(accepted))
-    return (station, *columns), n_rejected
+    near = station >= 0
+    if not near.all():
+        station, day, tmax, tmin = station[near], day[near], tmax[near], tmin[near]
+    return (station, day, tmax, tmin), n_rejected
 
 
 def _row_columns(rows: list[list[str]], cells: tuple[_Cells, ...]) -> tuple:
@@ -607,8 +611,7 @@ def build_analysis_rows(
     MATCH_CUTOFF_KM and both estimation windows pass their completeness
     gates; everything else is counted in the diagnostics. The table is sorted once by
     (station, year), stably, so each midrange_series call gets exactly its
-    station-year's rows in file order. A station's coordinates are those
-    of its first row.
+    station-year's rows in file order.
     """
     years, _ = _year_and_yday(table.day)
     station_year = table.station * (years.max(initial=0) + 1) + years
@@ -619,11 +622,7 @@ def build_analysis_rows(
         (table.station_ids[table.station[order[a]]], int(years[order[a]])): order[a:b]
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     }
-    codes, first = np.unique(table.station, return_index=True)
-    coords = {
-        table.station_ids[c]: (float(table.latitude[k]), float(table.longitude[k]))
-        for c, k in zip(codes.tolist(), first.tolist())
-    }
+    coords = dict(zip(table.station_ids, zip(table.latitude.tolist(), table.longitude.tolist())))
     no_rows = np.empty(0, dtype=np.intp)
     diag = JoinDiagnostics()
     rows: list[AnalysisRow] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +34,9 @@ class ForcingObservation:
     sd_days: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "mean_days", "sd_days"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
         if self.n < 2:
@@ -70,7 +74,7 @@ def fit_winter_wls(observations: Sequence[ForcingObservation]) -> WinterFit:
     n = np.array([o.n for o in observations], dtype=float)
     mean = np.array([o.mean_days for o in observations], dtype=float)
     var = np.array([o.sd_days for o in observations], dtype=float) ** 2
-    if np.unique(alpha).size < 2:
+    if alpha.min() == alpha.max():
         raise SingularFit("all forcing temperatures are equal; tau/alpha is unidentified")
 
     # Stage 1: mean ~ tau * (1/alpha), weights n*alpha^3

@@ -27,20 +27,24 @@ class StationRecord:
 
 
 def from_records(records: Iterable[StationRecord]) -> StationTable:
-    """The table of a sequence of rows, in their order; None reads as NaN."""
+    """The table of a sequence of rows, in their order; None reads as NaN.
+
+    Each station sits at its first row's coordinates.
+    """
     records = list(records)
     codes: dict[str, int] = {}
     station = [codes.setdefault(r.station_id, len(codes)) for r in records]
+    first = {r.station_id: r for r in reversed(records)}
 
     def floats(values: Iterable[float | None]) -> np.ndarray:
         return np.array([math.nan if v is None else v for v in values], dtype=float)
 
     return StationTable(
         station_ids=tuple(codes),
+        latitude=floats(first[s].latitude for s in codes),
+        longitude=floats(first[s].longitude for s in codes),
         station=np.array(station, dtype=np.intp),
         day=np.array([r.date.toordinal() for r in records], dtype=np.int64),
-        latitude=floats(r.latitude for r in records),
-        longitude=floats(r.longitude for r in records),
         tmax=floats(r.tmax for r in records),
         tmin=floats(r.tmin for r in records),
     )
@@ -62,21 +66,28 @@ def temperature_line(r: StationRecord) -> str:
 
 
 def to_records(table: StationTable) -> list[StationRecord]:
-    """The table's rows, in order; a NaN reading reads as None."""
+    """The table's rows, in order, each at its station's coordinates; a NaN
+    reading reads as None."""
 
     def reading(v: float) -> float | None:
         return None if math.isnan(v) else v
 
+    lat, lon = table.latitude.tolist(), table.longitude.tolist()
     return [
         StationRecord(
-            table.station_ids[code], datetime.date.fromordinal(day), lat, lon,
+            table.station_ids[code], datetime.date.fromordinal(day), lat[code], lon[code],
             reading(tmax), reading(tmin),
         )
-        for code, day, lat, lon, tmax, tmin in zip(
-            table.station.tolist(), table.day.tolist(), table.latitude.tolist(),
-            table.longitude.tolist(), table.tmax.tolist(), table.tmin.tolist(),
+        for code, day, tmax, tmin in zip(
+            table.station.tolist(), table.day.tolist(), table.tmax.tolist(), table.tmin.tolist(),
         )
     ]
+
+
+def at_first_places(records: Iterable[StationRecord]) -> list[StationRecord]:
+    """The records, each moved to its station's first record's coordinates,
+    as a StationTable holds them."""
+    return to_records(from_records(records))
 
 
 def parse_temperature_rows(path: str | Path, units: str = "degrees") -> tuple[list[StationRecord], int]:

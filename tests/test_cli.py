@@ -825,12 +825,13 @@ class TestRuntimeDependencies:
         if package == "scipy":
             assert proc.stdout.strip() == "[]"
 
-    def test_lilac_bins_loads_no_numpy_ma(self, tmp_path):
-        # np.quantile's np.unique imports numpy.ma (about 1 MiB); numpy
-        # before 2.0 loads it on import itself
+    @pytest.mark.parametrize("target", ["lilac-bins", "walnut"])
+    def test_reproduce_loads_no_numpy_ma(self, tmp_path, target):
+        # np.unique (np.quantile calls it) imports numpy.ma (about 1 MiB);
+        # numpy before 2.0 loads it on import itself
         _write_lilac_fixture(tmp_path / "data")
-        args = ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
-                "--data-dir", str(tmp_path / "data")]
+        args = ["reproduce", target, "--out", str(tmp_path / "runs")]
+        args += ["--data-dir", str(tmp_path / "data")] if target == "lilac-bins" else []
         proc = _fresh_python(
             "import sys, numpy\n"
             "bare = 'numpy.ma' in sys.modules\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from station_csv import (
     StationRecord,
+    at_first_places,
     from_records,
     parse_temperature_rows,
     temperature_line,
@@ -172,7 +173,7 @@ def test_temperature_csv_round_trip(tmp_path_factory, records):
     write_temperature_csv(records, path)
     back = data_io.parse_temperature_csv(path)
     assert back.rejected == 0
-    assert to_records(back.records) == records
+    assert to_records(back.records) == at_first_places(records)
 
 
 # Cells the parser must accept, then cells it must reject, per column; none
@@ -260,9 +261,31 @@ def test_columnar_parse_equals_row_oracle(
     with mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
         parsed = data_io.parse_temperature_csv(path, units=units)
     records, rejected = parse_temperature_rows(path, units=units)
-    assert to_records(parsed.records) == records
+    assert to_records(parsed.records) == at_first_places(records)
     assert parsed.rejected == rejected
     assert len(parsed.records) == len(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(temperature_rows(), min_size=1, max_size=60),
+    endings=st.lists(st.sampled_from(["\n", "\r", CRLF, "\r\r\n"]), min_size=1, max_size=8),
+    last_ending=st.booleans(),
+    chunk_rows=st.integers(1, 64) | st.just(data_io._PARSE_ROWS),
+)
+def test_line_endings_equal_row_oracle(tmp_path_factory, rows, endings, last_ending, chunk_rows):
+    # LF, CR, CRLF and CR CRLF endings in any mix, over chunks of any size;
+    # a CR CRLF ending adds a blank line
+    lines = [",".join(row) + end for row, end in zip(rows, itertools.cycle(endings))]
+    if not last_ending:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    path = tmp_path_factory.mktemp("endings") / "t.csv"
+    path.write_bytes((HEADER + "\n" + "".join(lines)).encode())
+    with mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows):
+        parsed = data_io.parse_temperature_csv(path)
+    records, rejected = parse_temperature_rows(path)
+    assert to_records(parsed.records) == at_first_places(records)
+    assert parsed.rejected == rejected
 
 
 def write_lines(path, lines, ending):
@@ -304,7 +327,7 @@ def test_short_chunks_and_colliding_hashes_equal_row_oracle(
          mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):
         parsed = data_io.parse_temperature_csv(path)
     records, rejected = parse_temperature_rows(path)
-    assert to_records(parsed.records) == records
+    assert to_records(parsed.records) == at_first_places(records)
     assert parsed.rejected == rejected
 
 
@@ -670,6 +693,13 @@ def test_filtered_parse_joins_as_the_full_parse(tmp_path_factory, lines, pairs, 
         kept = data_io.parse_temperature_csv(path, observations=obs)
     assert kept.rejected == full.rejected == 5
     assert subsequence(to_records(kept.records), to_records(full.records))
+    for table in (full.records, kept.records):
+        assert len(table.latitude) == len(table.longitude) == len(table.station_ids)
+    full_places, kept_places = (
+        dict(zip(t.station_ids, zip(t.latitude.tolist(), t.longitude.tolist())))
+        for t in (full.records, kept.records)
+    )
+    assert kept_places.items() <= full_places.items()
     assert data_io.build_analysis_rows(obs, kept.records) == data_io.build_analysis_rows(
         obs, full.records)
 
@@ -680,16 +710,53 @@ class TestJoinFilter:
         write_temperature_csv(records, path)
         return data_io.parse_temperature_csv(path, observations=obs)
 
-    def test_keeps_the_windows_of_observed_years_and_first_rows(self, tmp_path):
+    def test_keeps_the_windows_of_observed_years(self, tmp_path):
         leap = [StationRecord("N1", datetime.date(2020, m, d), 40.05, -75.0, 5.0, 1.0)
                 for m, d in ((6, 1), (1, 1), (4, 29), (4, 30), (5, 1), (12, 31))]
         other = dataclasses.replace(leap[1], date=datetime.date(2021, 1, 1))
         kept = self.parse(tmp_path, leap + [other], observations_at([(0, 2020)]))
-        # 30 April 2020 is day 121, the last of 2020's beta window
+        # 30 April 2020 is day 121, the last of 2020's beta window; the
+        # station's first row, on 1 June, lies outside it
         assert [r.date for r in to_records(kept.records)] == [
-            datetime.date(2020, 6, 1), datetime.date(2020, 1, 1),
-            datetime.date(2020, 4, 29), datetime.date(2020, 4, 30),
+            datetime.date(2020, 1, 1), datetime.date(2020, 4, 29), datetime.date(2020, 4, 30),
         ]
+
+    @pytest.mark.parametrize("chunk_rows", [1, data_io._PARSE_ROWS])
+    def test_station_sits_at_its_first_accepted_row(self, tmp_path, chunk_rows):
+        # each station's first row is rejected and lies at the other's first
+        # accepted place: N1 is near the first site, N2 far from both
+        path = write(tmp_path, "t.csv", f"{HEADER}\n"
+                     "N2,2021-02-01,40.05,-75.0,1.0,5.0\n"
+                     "N1,2021-02-30,44.0,-75.0,5.0,1.0\n"
+                     "N1,2021-02-02,40.05,-75.0,5.0,1.0\n"
+                     "N2,2021-02-02,44.0,-75.5,5.0,1.0\n"
+                     "N1,2021-02-03,44.0,-75.0,5.0,1.0\n"
+                     "N2,2021-02-03,40.05,-75.0,5.0,1.0\n")
+        with mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows):
+            full = data_io.parse_temperature_csv(path)
+            kept = data_io.parse_temperature_csv(path, observations=observations_at([(0, 2021)]))
+        assert full.rejected == kept.rejected == 2
+        assert full.records.station_ids == ("N1", "N2")
+        assert full.records.latitude.tolist() == [40.05, 44.0]
+        assert full.records.longitude.tolist() == [-75.0, -75.5]
+        assert kept.records.station_ids == ("N1",)
+        assert kept.records.latitude.tolist() == [40.05]
+        assert kept.records.longitude.tolist() == [-75.0]
+        assert [r.date.day for r in to_records(kept.records)] == [2, 3]
+
+    def test_near_station_without_readable_rows_still_wins_the_match(self, tmp_path):
+        # N, 0.1 km from the site, has rows only in June; F, 11 km away,
+        # has a complete year
+        june = [StationRecord("N", datetime.date(2021, 6, d), 40.001, -75.0, 5.0, 1.0)
+                for d in range(1, 31)]
+        complete = synthetic_year_records("F", 40.1, -75.0)
+        obs = observations_at([(0, 2021)])
+        assert len(data_io.build_analysis_rows(obs, from_records(complete))[0]) == 1
+        kept = self.parse(tmp_path, june + complete, obs)
+        assert kept.records.station_ids == ("N", "F") and len(kept.records) == len(complete)
+        for table in (kept.records, from_records(june + complete)):
+            rows, diag = data_io.build_analysis_rows(obs, table)
+            assert rows == [] and diag.n_insufficient == 1
 
     def test_station_margin(self, tmp_path):
         # a station 16.5 km from the site, beyond the cutoff, is kept; one at

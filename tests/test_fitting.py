@@ -31,6 +31,14 @@ class TestForcingObservation:
         with pytest.raises(ParameterError):
             fitting.ForcingObservation(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "mean_days", "sd_days"])
+    def test_rejects_non_finite(self, name, value):
+        # a NaN alpha or an infinite mean_days would make tau_hat NaN or inf
+        kwargs = {"alpha": 5.0, "n": 30, "mean_days": 10.0, "sd_days": 1.0, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            fitting.ForcingObservation(**kwargs)
+
 
 class TestFitWinterWls:
     def test_exact_model_recovery(self):
