@@ -123,8 +123,9 @@ def parse_temperature_csv(
     keyed (see _line_columns): each distinct field is converted once per
     file. csv.reader splits every other line, and reads the rest of the
     file from the first chunk with a quote or a NUL. Every cell goes
-    through the same converters, so the path a line takes changes no value
-    and no accept or reject decision.
+    through the same converters, and every rule holds for whole columns
+    (_parse_rows), so the path a line takes changes no value and no accept
+    or reject decision.
 
     With observations given, records keeps only the stations and the
     accepted rows that build_analysis_rows(observations, ...) can read (see
@@ -134,15 +135,7 @@ def parse_temperature_csv(
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
     keep = None if observations is None else _JoinRows(observations)
-    reading = _Cells(functools.partial(_reading, scale=0.1 if units == "tenths" else 1.0), float)
-    cells = (
-        _Cells(_station_id, None),
-        _Cells(_ordinal, np.int64),
-        _Cells(functools.partial(_coordinate, limit=90.0), float),
-        _Cells(functools.partial(_coordinate, limit=180.0), float),
-        reading,  # tmax
-        reading,  # tmin
-    )
+    cells = (_Cells(_station_id, None), _Cells(_ordinal, np.int64), _Cells(_number, float))
     # each station seen, with its code, or -1 for one the join cannot match
     codes: dict[str, int] = {}
     places: list[tuple[float, float]] = []  # (lat, lon) of each code
@@ -160,7 +153,9 @@ def parse_temperature_csv(
                 f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
             )
         # map holds no chunk, so a chunk's rows are freed before the next is read
-        parse = functools.partial(_parse_rows, cells=cells, codes=codes, places=places, keep=keep)
+        parse = functools.partial(
+            _parse_rows, cells=cells, tenths=units == "tenths", codes=codes, places=places, keep=keep
+        )
         for part, n_rejected in map(parse, _row_chunks(fh)):
             k = len(part[0])
             if n + k > len(columns[0]):
@@ -246,12 +241,13 @@ def _row_chunks(fh: TextIO) -> Iterator[list[list[str]] | np.ndarray]:
 
 
 def _line_columns(buf: np.ndarray, cells: tuple[_Cells, ...]) -> tuple:
-    """The six converted columns of a chunk's lines, and whether line k is blank.
+    """The columns of a chunk's lines, as _row_columns gives them.
 
     buf holds LF-terminated lines, then _WIDE zero bytes. A line is keyed
     when it has exactly five commas and no field longer than _WIDE bytes,
-    and its fields go through _Cells.keyed. csv.reader splits every other
-    line, and its rows are converted as csv's rows are.
+    and its fields go through _Cells.keyed, the four numeric ones in one
+    lookup. csv.reader splits every other line, and its rows are converted
+    as csv's rows are.
     """
     sep = np.flatnonzero((buf == 44) | (buf == 10))  # commas and LFs
     lf = np.flatnonzero(buf[sep] == 10)
@@ -265,15 +261,19 @@ def _line_columns(buf: np.ndarray, cells: tuple[_Cells, ...]) -> tuple:
     if not narrow.all():
         keyed, bounds = keyed[narrow], bounds[:, narrow]
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # unaligned
-    columns = [conv.keyed(buf, words, a + 1, b) for conv, a, b in zip(cells, bounds, bounds[1:])]
+    columns = [  # fields 0, 1 and 2-5 (lat, lon, tmax, tmin)
+        conv.keyed(buf, words, bounds[a:b].ravel() + 1, bounds[a + 1 : b + 1].ravel())
+        for conv, a, b in zip(cells, (0, 1, 2), (1, 2, 6))
+    ]
+    columns[2] = columns[2].reshape(4, -1)
     if len(keyed) < len(start):
         rest = np.ones(len(start), dtype=bool)
         rest[keyed] = False
         rest = np.flatnonzero(rest)
         split = _row_columns(list(csv.reader(_decode(buf, start[rest], end[rest]))), cells)
-        for j, (conv, values) in enumerate(zip(cells, split)):
-            column = np.empty(len(start), conv.dtype or object)
-            column[keyed], column[rest] = columns[j], values
+        for j, (values, more) in enumerate(zip(columns, split)):
+            column = np.empty(more.shape[:-1] + (len(start),), values.dtype)
+            column[..., keyed], column[..., rest] = values, more
             columns[j] = column
 
     def blank(k: int) -> bool:
@@ -292,8 +292,8 @@ def _key_hash(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Cells:
-    """One column's converter: each distinct cell is converted once, while
-    the column holds at most _MEMO_CELLS converted cells.
+    """A converter of cells: each distinct cell is converted once, while it
+    holds at most _MEMO_CELLS converted cells.
 
     Cells of csv's rows go through memo, a dict keyed by the cell's string.
     Fields of keyed lines go through a table keyed by the field's bytes,
@@ -381,6 +381,7 @@ class _Cells:
 def _parse_rows(
     chunk: list[list[str]] | np.ndarray,
     cells: tuple[_Cells, ...],
+    tenths: bool,
     codes: dict[str, int],
     places: list[tuple[float, float]],
     keep: _JoinRows | None,
@@ -390,15 +391,18 @@ def _parse_rows(
     passes every station and row).
 
     chunk is csv's rows, or lines as bytes for _line_columns. A cell that
-    fails marks its row: "" for a station id, -1 for a date, NaN for a
-    coordinate, inf for a reading (NaN there is a blank). A station seen
-    first joins codes, and if keep passes it, places, at its first
-    accepted row's coordinates.
+    fails marks its row: "" for a station id, -1 for a date, inf for a
+    number (NaN is a blank). Then |lat| <= 90 and |lon| <= 180, with tenths
+    the readings' scale of 0.1, and tmin <= tmax hold for whole columns. A
+    station seen first joins codes, and if keep passes it, places, at its
+    first accepted row's coordinates.
     """
     columns = (_line_columns if isinstance(chunk, np.ndarray) else _row_columns)(chunk, cells)
-    ids, day, lat, lon, tmax, tmin, blank = columns
+    ids, day, (lat, lon, tmax, tmin), blank = columns
+    if tenths:
+        tmax, tmin = tmax * 0.1, tmin * 0.1
     has_id = ids != ""
-    ok = has_id & (day > 0) & ~np.isnan(lat) & ~np.isnan(lon)
+    ok = has_id & (day > 0) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
     accepted = ids[ok].tolist()
     n_rejected = len(ids) - len(accepted) - sum(map(blank, np.flatnonzero(~has_id).tolist()))
@@ -429,16 +433,17 @@ def _parse_rows(
 
 
 def _row_columns(rows: list[list[str]], cells: tuple[_Cells, ...]) -> tuple:
-    """The six converted columns of rows, and whether row k is blank."""
+    """The ids, days and numbers (rows lat, lon, tmax, tmin) of rows, and
+    whether row k is blank."""
     n = len(rows)
     columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
     columns += [(None,) * n] * (6 - len(columns))  # every row is short
-    ids, *values = (conv(col) for conv, col in zip(cells, columns))
+    ids, day, numbers = cells[0](columns[0]), cells[1](columns[1]), cells[2](sum(columns[2:], ()))
 
     def blank(k: int) -> bool:
         return all(not c.strip() for c in rows[k])
 
-    return (np.array(ids, dtype=object), *values, blank)
+    return np.array(ids, dtype=object), day, numbers.reshape(4, n), blank
 
 
 def _station_id(cell: str | None) -> str:
@@ -456,23 +461,15 @@ def _ordinal(cell: str | None) -> int:
         return -1
 
 
-def _coordinate(cell: str | None, limit: float) -> float:
-    """The value, or NaN unless it parses and |value| <= limit (so finite)."""
-    try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        return math.nan
-    return value if abs(value) <= limit else math.nan
-
-
-def _reading(cell: str | None, scale: float) -> float:
-    """The scaled reading, NaN for a blank cell, inf unless finite."""
+def _number(cell: str | None) -> float:
+    """The value, NaN for a blank cell, inf for a missing cell or one that
+    does not parse to a finite double."""
     if cell is None:
         return math.inf
     if not cell.strip():
         return math.nan
     try:
-        value = float(cell) * scale
+        value = float(cell)
     except ValueError:
         return math.inf
     return value if math.isfinite(value) else math.inf

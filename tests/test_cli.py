@@ -439,6 +439,19 @@ class TestReproduceLilacBins:
         if len(edits) > 1:
             assert edits[1][0] not in result.output
 
+    def test_empty_phenology_file_exits_2_without_run_dir(self, runner, tmp_path):
+        _write_lilac_fixture(tmp_path / "data")
+        path = tmp_path / "data" / "lilac_phenology.csv"
+        path.write_text("", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["reproduce", "lilac-bins", "--out", str(tmp_path / "runs"),
+             "--data-dir", str(tmp_path / "data")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{path} is empty" in result.output
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("year", [0, -5, 10000])
     def test_year_outside_the_calendar_exits_2_without_run_dir(self, runner, tmp_path, year):
         _write_lilac_fixture(tmp_path / "data")

@@ -128,6 +128,11 @@ class TestParseTemperatureCsv:
         with pytest.raises(EmptyFile):
             data_io.parse_temperature_csv(path)
 
+    def test_unknown_units_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv", f"{HEADER}\nS1,2021-01-01,40.0,-75.0,5.0,-3.0\n")
+        with pytest.raises(ParameterError, match="kelvin"):
+            data_io.parse_temperature_csv(path, units="kelvin")
+
     def test_header_only_gives_empty_table(self, tmp_path):
         result = data_io.parse_temperature_csv(write(tmp_path, "t.csv", f"{HEADER}\n"))
         assert (len(result.records), result.rejected) == (0, 0)
@@ -208,6 +213,61 @@ _BAD_CELLS = [
     ["n/a", "nan", "inf", "1e400", "infinity", "-infinity"],
     ["abc", "-inf", "NaN", "1e400000", "-1e400000"],
 ]
+
+
+# Each case's data lines, and its (kept, rejected) counts in degrees and in
+# tenths. Every numeric cell goes through one converter; the range, scale
+# and tmin <= tmax rules then hold for whole columns.
+def _with_number(j, cell):
+    """A good data line whose numeric field j (lat, lon, tmax, tmin) is cell."""
+    numbers = ["40.0", "-75.0", "5.0", "1.0"]
+    numbers[j] = cell
+    return ",".join(["S1", "2021-01-01", *numbers])
+
+
+_NUMBER_CASES = {
+    "blank_cells": (
+        [_with_number(0, ""), _with_number(1, ""), _with_number(2, ""), _with_number(3, " ")],
+        {"degrees": (2, 2), "tenths": (2, 2)},
+    ),
+    "non_finite": (
+        [_with_number(j, bad) for j in range(4) for bad in ("nan", "inf", "1e400")]
+        + ["S1,2021-01-02,40.0,-75.0,5.0,1.0"],
+        {"degrees": (1, 12), "tenths": (1, 12)},
+    ),
+    "range_edges": (
+        ["S1,2021-01-01,90,-180,5.0,1.0", "S2,2021-01-01,-90.0,180.0,5.0,1.0",
+         "S3,2021-01-01,90.0000001,0,5.0,1.0", "S4,2021-01-01,0,-180.0000001,5.0,1.0",
+         "S5,2021-01-01,-90.0000001,0,5.0,1.0", "S6,2021-01-01,0,180.0000001,5.0,1.0"],
+        {"degrees": (2, 4), "tenths": (2, 4)},
+    ),
+    "one_cell_two_columns": (
+        ["S1,2021-01-01,40.0,-75.0,5.0,1.0", "S2,2021-01-01,41.0,40.0,40.0,1.0",
+         "S3,2021-01-01,95.0,-75.0,5.0,1.0", "S4,2021-01-01,41.0,-75.0,95.0,40.0"],
+        {"degrees": (3, 1), "tenths": (3, 1)},
+    ),
+    # in tenths both readings scale to 0.0, a tie, so the scale must come
+    # before the tmin <= tmax test
+    "subnormal_tie": (
+        ["S1,2021-01-01,40.0,-75.0,5e-324,1e-323"],
+        {"degrees": (0, 1), "tenths": (1, 0)},
+    ),
+}
+
+
+@pytest.mark.parametrize("units", ["degrees", "tenths"])
+@pytest.mark.parametrize("path_kind", ["keyed", "csv"])
+@pytest.mark.parametrize("case", list(_NUMBER_CASES))
+def test_number_rules_equal_row_oracle(tmp_path, case, path_kind, units):
+    lines, counts = _NUMBER_CASES[case]
+    if path_kind == "csv":  # one quoted id sends the whole file through csv.reader
+        lines = ['"S1"' + lines[0][2:]] + lines[1:]
+    path = write(tmp_path, "t.csv", "\n".join([HEADER, *lines]) + "\n")
+    parsed = data_io.parse_temperature_csv(path, units=units)
+    records, rejected = parse_temperature_rows(path, units=units)
+    assert to_records(parsed.records) == at_first_places(records)
+    assert parsed.rejected == rejected
+    assert (len(records), rejected) == counts[units]
 
 
 @st.composite
@@ -845,4 +905,9 @@ class TestPhenologyParsing:
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "foo,bar\n1,2\n")
         with pytest.raises(MissingHeader):
+            data_io.parse_phenology_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "p.csv", "")
+        with pytest.raises(EmptyFile, match="p.csv is empty"):
             data_io.parse_phenology_csv(path)

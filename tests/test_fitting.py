@@ -101,6 +101,15 @@ class TestFitWinterWls:
         with pytest.raises(NonPositiveEstimate):
             fitting.fit_winter_wls(obs)
 
+    def test_variance_underflow_is_non_positive(self):
+        # sd_days**2 = 1e-340 underflows to 0, so sigma_hat^2 is 0
+        obs = [
+            fitting.ForcingObservation(5.0, 30, 40.0, 1e-170),
+            fitting.ForcingObservation(10.0, 30, 20.0, 1e-170),
+        ]
+        with pytest.raises(NonPositiveEstimate, match="sigma_hat"):
+            fitting.fit_winter_wls(obs)
+
 
 class TestQuantileBinEdges:
     def test_linear_interpolation_quartiles(self):
@@ -129,7 +138,7 @@ class TestQuantileBinEdges:
 @st.composite
 def _edge_inputs(draw):
     """(values, k): ties, values rounded to 0-2 decimals (signed zeros too),
-    and n == k."""
+    NaN and infinite values, and n == k."""
     k = draw(st.integers(2, 8))
     n = draw(st.sampled_from([k, k + 1]) | st.integers(k, 60))
     floats = st.floats(-1e6, 1e6)
@@ -137,6 +146,7 @@ def _edge_inputs(draw):
         floats,
         st.tuples(floats.map(lambda v: v / 1e6), st.integers(0, 2)).map(lambda p: round(*p)),
         st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
     )
     return draw(st.lists(cells, min_size=n, max_size=n)), k
 
@@ -145,10 +155,14 @@ def _edge_inputs(draw):
 @given(inputs=_edge_inputs())
 def test_quantile_edges_match_numpy_bit_for_bit(inputs):
     values, k = inputs
-    edges = fitting.quantile_bin_edges(values, k)
-    oracle = np.quantile(np.array(values), [i / k for i in range(1, k)], method="linear")
+    # an infinite value can make the interpolation inf - inf: NaN, on which
+    # np.quantile warns too
+    with np.errstate(invalid="ignore"):
+        edges = fitting.quantile_bin_edges(values, k)
+        oracle = np.quantile(np.array(values), [i / k for i in range(1, k)], method="linear")
     assert edges[1:-1].tobytes() == oracle.tobytes()
-    assert edges[0] == min(values) and edges[-1] == max(values)
+    outer = [np.min(values), np.max(values)]  # NaN if any value is
+    assert np.array_equal(edges[[0, -1]], outer, equal_nan=True)
 
 
 class TestBinLocationScale:
@@ -216,6 +230,10 @@ class TestBinLocationScale:
     def test_rejects_bad_doy(self):
         with pytest.raises(ParameterError):
             fitting.bin_location_scale([(1.0, 0.5, 400.0)], alpha_edges=[0, 2], beta_edges=[0, 1])
+
+    def test_rejects_pairs(self):
+        with pytest.raises(ParameterError, match="triples"):
+            fitting.bin_location_scale([(1.0, 2.0)])
 
     def test_rejects_decreasing_edges(self):
         with pytest.raises(ParameterError):
