@@ -12,6 +12,7 @@ Live network clients are out of scope: both inputs are pre-downloaded files
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import functools
@@ -125,7 +126,8 @@ def parse_temperature_csv(
     file from the first chunk with a quote or a NUL. Every cell goes
     through the same converters, and every rule holds for whole columns
     (_parse_rows), so the path a line takes changes no value and no accept
-    or reject decision.
+    or reject decision. A station id converts to its index in one dict of
+    the file's distinct ids, so every column is numeric.
 
     With observations given, records keeps only the stations and the
     accepted rows that build_analysis_rows(observations, ...) can read (see
@@ -135,9 +137,10 @@ def parse_temperature_csv(
     if units not in ("degrees", "tenths"):
         raise ParameterError(f"units must be 'degrees' or 'tenths', got {units!r}")
     keep = None if observations is None else _JoinRows(observations)
-    cells = (_Cells(_station_id, None), _Cells(_ordinal, np.int64), _Cells(_number, float))
-    # each station seen, with its code, or -1 for one the join cannot match
-    codes: dict[str, int] = {}
+    names = {"": 0}  # each distinct stripped id, with its index
+    intern = functools.partial(_intern, names)
+    cells = (_Cells(intern, np.intp), _Cells(_ordinal, np.int64), _Cells(_number, float))
+    codes = array.array("q")  # the station code of each id index (see _parse_rows)
     places: list[tuple[float, float]] = []  # (lat, lon) of each code
     # kept rows go into columns that double when full, not into per-chunk
     # pieces held to the end, which leave the heap fragmented
@@ -166,7 +169,7 @@ def parse_temperature_csv(
             n += k
             rejected += n_rejected
     latitude, longitude = np.array(places, dtype=float).reshape(-1, 2).T.copy()
-    ids = tuple(s for s, c in codes.items() if c >= 0)
+    ids = tuple(s for _, s in sorted((c, s) for s, c in zip(names, codes) if c >= 0))
     table = StationTable(ids, latitude, longitude, *(c[:n].copy() for c in columns))
     return ParseResult(records=table, rejected=rejected)
 
@@ -292,8 +295,8 @@ def _key_hash(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Cells:
-    """A converter of cells: each distinct cell is converted once, while it
-    holds at most _MEMO_CELLS converted cells.
+    """A converter of cells to numbers: each distinct cell is converted
+    once, while it holds at most _MEMO_CELLS converted cells.
 
     Cells of csv's rows go through memo, a dict keyed by the cell's string.
     Fields of keyed lines go through a table keyed by the field's bytes,
@@ -305,7 +308,7 @@ class _Cells:
     def __init__(self, convert, dtype) -> None:
         self.convert, self.dtype, self.memo = convert, dtype, {}
         self.keys = np.empty((3, 0), np.uint64)  # hash, lo and hi of each
-        self.values = np.empty(0, dtype or object)
+        self.values = np.empty(0, dtype)
 
     def keyed(self, buf: np.ndarray, words: np.ndarray, start: np.ndarray, end: np.ndarray):
         """The converted fields buf[start[i]:end[i]], each at most _WIDE bytes.
@@ -343,7 +346,7 @@ class _Cells:
             self.values = np.insert(self.values, at, [self.convert(c) for c in cells])
             slot = self._find(h, lo, hi)
         if slot is None:
-            return np.asarray(self(list(_decode(buf, start, end))), self.values.dtype)
+            return self(list(_decode(buf, start, end)))
         values = np.empty(len(first), self.values.dtype)
         values[order] = np.repeat(self.values[slot], np.diff(head, append=len(order)))
         return np.repeat(values, np.diff(first, append=len(start)))
@@ -360,8 +363,8 @@ class _Cells:
             return None
         return np.where(same, at, -1)
 
-    def __call__(self, column: Sequence[str | None]):
-        """The converted column: an array of dtype, or a list if dtype is None."""
+    def __call__(self, column: Sequence[str | None]) -> np.ndarray:
+        """The converted column, an array of dtype."""
         try:
             return self._lookup(column)
         except KeyError:  # a cell not yet converted
@@ -373,16 +376,15 @@ class _Cells:
             memo[cell] = self.convert(cell)
         return self._lookup(column)
 
-    def _lookup(self, column: Sequence[str | None]):
-        values = map(self.memo.__getitem__, column)
-        return list(values) if self.dtype is None else np.fromiter(values, self.dtype, len(column))
+    def _lookup(self, column: Sequence[str | None]) -> np.ndarray:
+        return np.fromiter(map(self.memo.__getitem__, column), self.dtype, len(column))
 
 
 def _parse_rows(
     chunk: list[list[str]] | np.ndarray,
     cells: tuple[_Cells, ...],
     tenths: bool,
-    codes: dict[str, int],
+    codes: array.array,
     places: list[tuple[float, float]],
     keep: _JoinRows | None,
 ) -> tuple[tuple[np.ndarray, ...], int]:
@@ -391,50 +393,46 @@ def _parse_rows(
     passes every station and row).
 
     chunk is csv's rows, or lines as bytes for _line_columns. A cell that
-    fails marks its row: "" for a station id, -1 for a date, inf for a
-    number (NaN is a blank). Then |lat| <= 90 and |lon| <= 180, with tenths
-    the readings' scale of 0.1, and tmin <= tmax hold for whole columns. A
-    station seen first joins codes, and if keep passes it, places, at its
-    first accepted row's coordinates.
+    fails marks its row: 0 (the blank id's index) for a station id, -1 for
+    a date, inf for a number (NaN is a blank). Then |lat| <= 90 and |lon| <=
+    180, with tenths the readings' scale of 0.1, and tmin <= tmax hold for
+    whole columns. codes[i] is the code of the station with id index i: -2
+    until its first accepted row, then its index in places, at that row's
+    coordinates, if keep passes it, else -1. np.asarray views codes without
+    a copy, so a chunk's cost does not grow with the ids seen.
     """
     columns = (_line_columns if isinstance(chunk, np.ndarray) else _row_columns)(chunk, cells)
     ids, day, (lat, lon, tmax, tmin), blank = columns
     if tenths:
         tmax, tmin = tmax * 0.1, tmin * 0.1
-    has_id = ids != ""
+    has_id = ids > 0
     ok = has_id & (day > 0) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
-    accepted = ids[ok].tolist()
+    accepted = np.flatnonzero(ok)
     n_rejected = len(ids) - len(accepted) - sum(map(blank, np.flatnonzero(~has_id).tolist()))
-    stations = dict.fromkeys(accepted)
-    new = [s for s in stations if s not in codes]
-    if new:
-        lat, lon = lat[ok], lon[ok]
-    k = 0
-    for s in new:
-        k = accepted.index(s, k)  # new holds ids in order of their first rows
+    ids = ids[accepted]
+    codes.extend([-2] * (int(ids.max(initial=0)) + 1 - len(codes)))
+    new = np.flatnonzero(np.asarray(codes)[ids] == -2)
+    _, first = np.unique(ids[new], return_index=True)  # each new id's first row
+    first = new[np.sort(first)]
+    for i, k in zip(ids[first].tolist(), accepted[first].tolist()):
         place = (float(lat[k]), float(lon[k]))
         if keep is None or keep.near(*place):
-            codes[s] = len(places)
+            codes[i] = len(places)
             places.append(place)
         else:
-            codes[s] = -1
-    day, tmax, tmin = day[ok], tmax[ok], tmin[ok]
+            codes[i] = -1
+    station = np.asarray(codes)[ids]
+    kept = station >= 0
     if keep is not None:
-        kept = keep(day) if any(codes[s] >= 0 for s in stations) else np.zeros(len(day), bool)
-        if not kept.all():
-            accepted = list(itertools.compress(accepted, kept.tolist()))
-            day, tmax, tmin = day[kept], tmax[kept], tmin[kept]
-    station = np.fromiter(map(codes.__getitem__, accepted), dtype=np.intp, count=len(accepted))
-    near = station >= 0
-    if not near.all():
-        station, day, tmax, tmin = station[near], day[near], tmax[near], tmin[near]
-    return (station, day, tmax, tmin), n_rejected
+        kept &= keep(day[accepted])
+    accepted = accepted[kept]
+    return (station[kept], day[accepted], tmax[accepted], tmin[accepted]), n_rejected
 
 
 def _row_columns(rows: list[list[str]], cells: tuple[_Cells, ...]) -> tuple:
-    """The ids, days and numbers (rows lat, lon, tmax, tmin) of rows, and
-    whether row k is blank."""
+    """The id indices, days and numbers (rows lat, lon, tmax, tmin) of rows,
+    and whether row k is blank."""
     n = len(rows)
     columns = list(itertools.islice(itertools.zip_longest(*rows), 6))
     columns += [(None,) * n] * (6 - len(columns))  # every row is short
@@ -443,11 +441,12 @@ def _row_columns(rows: list[list[str]], cells: tuple[_Cells, ...]) -> tuple:
     def blank(k: int) -> bool:
         return all(not c.strip() for c in rows[k])
 
-    return np.array(ids, dtype=object), day, numbers.reshape(4, n), blank
+    return ids, day, numbers.reshape(4, n), blank
 
 
-def _station_id(cell: str | None) -> str:
-    return "" if cell is None else cell.strip()
+def _intern(names: dict[str, int], cell: str | None) -> int:
+    """The stripped id's index in names, which gains each id new to it."""
+    return names.setdefault("" if cell is None else cell.strip(), len(names))
 
 
 def _ordinal(cell: str | None) -> int:

@@ -224,14 +224,17 @@ def bin_location_scale(
 ) -> BinnedGrid:
     """Grouped (count, mean, sd) of bloom day-of-year over an (alpha, beta) grid.
 
-    observations are (alpha, beta, bloom_doy) triples with bloom_doy in
-    [1, 366]. Edges default to the k-quantile edges of the supplied values;
-    pass explicit edges to pin the grid. Cells with fewer than two
-    observations report a missing (NaN) sd.
+    observations are finite (alpha, beta, bloom_doy) triples with bloom_doy
+    in [1, 366]. Edges default to the k-quantile edges of the supplied
+    values; pass explicit edges, at least 2 finite non-decreasing values,
+    to pin the grid. Cells with fewer than two observations report a
+    missing (NaN) sd.
     """
     obs = np.asarray(list(observations), dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 3:
         raise ParameterError("observations must be (alpha, beta, bloom_doy) triples")
+    if not np.isfinite(obs).all():
+        raise ParameterError("alpha, beta and bloom_doy must be finite")
     doy = obs[:, 2]
     if np.any((doy < 1) | (doy > 366)):
         raise ParameterError("bloom_doy must lie in [1, 366]")
@@ -243,8 +246,11 @@ def bin_location_scale(
         quantile_bin_edges(obs[:, 1], k) if beta_edges is None
         else np.asarray(beta_edges, dtype=float)
     )
-    if np.any(np.diff(a_edges) < 0) or np.any(np.diff(b_edges) < 0):
-        raise ParameterError("bin edges must be non-decreasing")
+    for edges in (a_edges, b_edges):
+        if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all():
+            raise ParameterError("bin edges must be at least 2 finite values")
+        if np.any(np.diff(edges) < 0):
+            raise ParameterError("bin edges must be non-decreasing")
 
     ai, clamp_a = _bin_index(obs[:, 0], a_edges)
     bi, clamp_b = _bin_index(obs[:, 1], b_edges)

@@ -235,8 +235,12 @@ def winter_overshoot_mean(alpha: float, sigma: float) -> float:
     Sequential Analysis, ch. 8) gives
     E[R_inf] = E[X^2]/(2 alpha) - sum_{n>=1} n^-1 E[S_n^-]
     with S_n ~ Normal(n alpha, n sigma^2). The terms fall monotonically; the
-    sum stops after the first term below 1e-12.
+    sum stops after the first term below 1e-12. A non-finite or
+    non-positive alpha or sigma raises ParameterError.
     """
+    for name, value in (("alpha", alpha), ("sigma", sigma)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value}")
     total = (sigma**2 + alpha**2) / (2.0 * alpha)
     n = 1
     while True:

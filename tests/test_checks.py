@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from scipy.stats import invgauss
 
 from thermalsum import checks, fitting, model, reference
+from thermalsum.errors import ParameterError
 from thermalsum.simulate import SIM1_ALPHAS, SIM1_BETAS, SIM1_TAUS, SimulationGrid, SimulationResult
 
 
@@ -118,6 +119,16 @@ class TestLadderOvershoot:
     def test_reference_value(self):
         # 0.634*sigma at alpha=4, sigma=20
         assert model.winter_overshoot_mean(4.0, 20.0) == pytest.approx(12.685, abs=1e-3)
+
+    # alpha <= 0 or NaN would make the series run forever, sigma = 0 divide by zero
+    @pytest.mark.parametrize(
+        "name, alpha, sigma",
+        [("alpha", a, 20.0) for a in (0.0, -1.0, math.nan, math.inf)]
+        + [("sigma", 4.0, s) for s in (0.0, -1.0, math.nan)],
+    )
+    def test_rejects_non_positive_or_non_finite(self, name, alpha, sigma):
+        with pytest.raises(ParameterError, match=f"{name} must be finite and > 0"):
+            model.winter_overshoot_mean(alpha, sigma)
 
 
 class TestNormalIgGap:

@@ -764,6 +764,40 @@ def test_filtered_parse_joins_as_the_full_parse(tmp_path_factory, lines, pairs, 
         obs, full.records)
 
 
+@pytest.mark.parametrize("chunk_rows", [7, data_io._PARSE_ROWS])
+def test_many_new_stations_in_one_chunk(tmp_path, chunk_rows):
+    # 4,096 stations, each read on 1-3 January 2021, one date after the
+    # other, in a new order each date, so a default chunk holds one date of
+    # every station. Each station's first row is rejected (tmin > tmax) and
+    # lies at the other kind's place: near stations sit at the first site,
+    # far ones 10 degrees south of it. Every eighth id has only rejected rows.
+    rng = np.random.default_rng(5)
+    n = data_io._PARSE_ROWS
+    near = [s % 4 == 0 for s in range(n)]
+    places = [(40.0 + s * 1e-6, -75.0) if near[s] else (30.0 + s * 1e-4, -75.0) for s in range(n)]
+    swapped = [(30.0, -75.0) if near[s] else (40.0, -75.0) for s in range(n)]
+    lines = []
+    for day in (1, 2, 3):
+        for s in rng.permutation(n).tolist():
+            lat, lon = (swapped if day == 1 else places)[s]
+            tmax, tmin = (1.0, 5.0) if day == 1 or s % 8 == 5 else (5.0, 1.0)
+            lines.append(f"STN{s:05d},2021-01-0{day},{lat},{lon},{tmax},{tmin}")
+    path = write(tmp_path, "t.csv", "\n".join([HEADER] + lines) + "\n")
+    records, rejected = parse_temperature_rows(path)
+    expected = at_first_places(records)
+    with mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows):
+        full = data_io.parse_temperature_csv(path)
+        kept = data_io.parse_temperature_csv(path, observations=observations_at([(0, 2021)]))
+    assert to_records(full.records) == expected
+    assert full.records.station_ids == from_records(records).station_ids
+    assert full.rejected == kept.rejected == rejected == n + 2 * (n // 8)
+    assert to_records(kept.records) == [r for r in expected if near[int(r.station_id[3:])]]
+    assert kept.records.station_ids == tuple(
+        s for s in full.records.station_ids if near[int(s[3:])])
+    assert len(full.records.station_ids) == n - n // 8
+    assert not any(int(s[3:]) % 8 == 5 for s in full.records.station_ids)
+
+
 class TestJoinFilter:
     def parse(self, tmp_path, records, obs):
         path = tmp_path / "t.csv"

@@ -241,6 +241,24 @@ class TestBinLocationScale:
                 [(1.0, 0.5, 100.0)], alpha_edges=[2, 0], beta_edges=[0, 1]
             )
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_observation(self, k, bad):
+        obs = [(1, 0.1, 100), (2, 0.2, 120), (3, 0.3, 130), (4, 0.4, 140), (5, 0.5, 150)]
+        obs[3] = obs[3][:k] + (bad,) + obs[3][k + 1 :]
+        with pytest.raises(ParameterError, match="finite"):
+            fitting.bin_location_scale(obs, k=2)
+        with pytest.raises(ParameterError, match="finite"):
+            fitting.bin_location_scale(obs, alpha_edges=[0, 6], beta_edges=[0, 1])
+
+    @pytest.mark.parametrize("edges", [[], [1.0], [0.0, math.nan], [-math.inf, 0.0, 2.0],
+                                       [0.0, math.inf], [[0.0, 1.0], [2.0, 3.0]]])
+    @pytest.mark.parametrize("axis", ["alpha_edges", "beta_edges"])
+    def test_rejects_explicit_edges_not_finite_or_too_few(self, edges, axis):
+        pinned = {"alpha_edges": [0.0, 2.0], "beta_edges": [0.0, 1.0], axis: edges}
+        with pytest.raises(ParameterError, match="at least 2 finite"):
+            fitting.bin_location_scale([(1.0, 0.5, 100.0)], **pinned)
+
 
 _values = st.floats(-50.0, 50.0)
 _triples = st.lists(
