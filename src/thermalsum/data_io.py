@@ -302,7 +302,7 @@ class _Cells:
     Fields of keyed lines go through a table keyed by the field's bytes,
     zero-padded to _WIDE, as two little-endian uint64 words (lo, hi); no
     NUL reaches a keyed line, so equal keys are equal fields. The table is
-    sorted by _key_hash, whose values are unique in it.
+    sorted by _key_hash and holds each hash once, with one key for it.
     """
 
     def __init__(self, convert, dtype) -> None:
@@ -314,9 +314,11 @@ class _Cells:
         """The converted fields buf[start[i]:end[i]], each at most _WIDE bytes.
 
         words[k] is the little-endian uint64 at buf[k]. Each run of equal
-        keys is looked up once, in the order of a sort of their hashes. A
-        key new to the table is converted from the string of one of its
-        fields. If two keys share a hash, every field's string goes
+        keys is hashed, and each distinct hash looked up once, in sorted
+        order. A hash new to the table enters it with one of its keys,
+        converted from the string of one of its fields. Then one check
+        compares each run's key with the table's key at its hash: if any
+        differs, two keys share a hash, and every field's string goes
         through __call__ instead.
         """
         if not len(start):
@@ -328,40 +330,25 @@ class _Cells:
         h = _key_hash(lo[first], hi[first])
         order = np.argsort(h)
         h, lo, hi = h[order], lo[first[order]], hi[first[order]]
-        same = h[1:] == h[:-1]
-        if (same & ((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))).any():
-            slot = None  # two keys share a hash
-        else:
-            head = np.flatnonzero(np.concatenate(([True], ~same)))
-            h, lo, hi = h[head], lo[head], hi[head]
-            slot = self._find(h, lo, hi)
-        if slot is not None and (slot < 0).any():
+        head = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))  # each distinct hash
+        slot = np.searchsorted(self.keys[0], h[head])
+        new = slot == np.searchsorted(self.keys[0], h[head], side="right")  # hash not in table
+        if new.any():
             if len(self.values) > _MEMO_CELLS:
-                self.keys, self.values, slot[:] = self.keys[:, :0], self.values[:0], -1
-            new = np.flatnonzero(slot < 0)
-            at = np.searchsorted(self.keys[0], h[new])
-            self.keys = np.insert(self.keys, at, (h[new], lo[new], hi[new]), axis=1)
-            fields = first[order[head[new]]]
+                self.keys, self.values, new[:] = self.keys[:, :0], self.values[:0], True
+            at = head[new]
+            where = np.searchsorted(self.keys[0], h[at])
+            self.keys = np.insert(self.keys, where, (h[at], lo[at], hi[at]), axis=1)
+            fields = first[order[at]]
             cells = _decode(buf, start[fields], end[fields])
-            self.values = np.insert(self.values, at, [self.convert(c) for c in cells])
-            slot = self._find(h, lo, hi)
-        if slot is None:
-            return self(list(_decode(buf, start, end)))
+            self.values = np.insert(self.values, where, [self.convert(c) for c in cells])
+            slot = np.searchsorted(self.keys[0], h[head])
+        slot = np.repeat(slot, np.diff(head, append=len(h)))
+        if ((self.keys[1, slot] != lo) | (self.keys[2, slot] != hi)).any():
+            return self(list(_decode(buf, start, end)))  # two keys share a hash
         values = np.empty(len(first), self.values.dtype)
-        values[order] = np.repeat(self.values[slot], np.diff(head, append=len(order)))
+        values[order] = self.values[slot]
         return np.repeat(values, np.diff(first, append=len(start)))
-
-    def _find(self, h: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-        """Each key's index in the table, -1 if absent; None if a table key
-        with the same hash differs."""
-        table_h, table_lo, table_hi = self.keys
-        if not len(table_h):
-            return np.full(len(h), -1)
-        at = np.minimum(np.searchsorted(table_h, h), len(table_h) - 1)
-        same = table_h[at] == h
-        if (same & ((table_lo[at] != lo) | (table_hi[at] != hi))).any():
-            return None
-        return np.where(same, at, -1)
 
     def __call__(self, column: Sequence[str | None]) -> np.ndarray:
         """The converted column, an array of dtype."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, count, product
 from typing import Iterable, Iterator, Sequence
@@ -115,8 +116,12 @@ class TemperatureProcessSpec:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.breakpoint_day < 0:
-            raise ParameterError(f"breakpoint_day must be >= 0, got {self.breakpoint_day}")
+        try:
+            day = operator.index(self.breakpoint_day)
+        except TypeError:
+            day = -1
+        if day < 0:
+            raise ParameterError(f"breakpoint_day must be an integer >= 0, got {self.breakpoint_day!r}")
 
     def mean_at(self, days: np.ndarray) -> np.ndarray:
         """Trend value mu_i for an array of day indices (1-based)."""
@@ -539,12 +544,16 @@ def run_grid(
     Cell c is the c-th point of product(alphas, betas, taus); that numbering
     is part of the substream contract. The bundled runs are sim1 (the SIM1_*
     axes, linear trend) and sim2 (the SIM2_* axes, breakpoint_day =
-    SIM2_BREAKPOINT_DAY).
+    SIM2_BREAKPOINT_DAY). Each axis's values must be distinct, since a
+    cell is keyed by its (alpha, beta, tau).
     """
     grid = SimulationGrid(
         alphas=tuple(alphas), betas=tuple(betas), taus=tuple(taus),
         sigma=DEFAULT_SIGMA, replicates=replicates, seed=seed,
     )
+    for name, axis in (("alphas", grid.alphas), ("betas", grid.betas), ("taus", grid.taus)):
+        if len(set(axis)) < len(axis):
+            raise ParameterError(f"{name} must be distinct, got {axis}")
     for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
         spec = TemperatureProcessSpec(a, b, grid.sigma, breakpoint_day=breakpoint_day)
         grid.cells[(a, b, tau)] = _run_cell(spec, tau, replicates, seed, cell)

@@ -364,24 +364,32 @@ def keyed_rows(draw):
     return row
 
 
+def constant_hash(lo, hi):
+    return np.zeros(len(lo), np.uint64)
+
+
+def two_valued_hash(lo, hi):
+    return (lo ^ hi) & np.uint64(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.lists(keyed_rows(), min_size=10, max_size=60),
     chunk_rows=st.sampled_from([1, 3, 7]),
     ending=st.sampled_from(["\n", "mixed"]),
-    constant_hash=st.booleans(),
+    key_hash=st.sampled_from([data_io._key_hash, constant_hash, two_valued_hash]),
     memo_cells=st.sampled_from([2, data_io._MEMO_CELLS]),
 )
 def test_short_chunks_and_colliding_hashes_equal_row_oracle(
-    tmp_path_factory, rows, chunk_rows, ending, constant_hash, memo_cells
+    tmp_path_factory, rows, chunk_rows, ending, key_hash, memo_cells
 ):
     # Chunks of 1 to 7 lines bring keys old and new to each column's table,
     # and a table of more than 2 keys is cleared by a chunk with a new one.
-    # With a constant key hash, every two keys collide, in a chunk and
-    # against the table.
+    # With the constant hash, every two keys collide, in a chunk and against
+    # the table. With the two-valued hash, a chunk can mix keys in the
+    # table, new keys, and keys that collide with a table key.
     path = tmp_path_factory.mktemp("short") / "t.csv"
     write_lines(path, [HEADER] + [",".join(row) for row in rows], ending)
-    key_hash = (lambda lo, hi: np.zeros(len(lo), np.uint64)) if constant_hash else data_io._key_hash
     with mock.patch.object(data_io, "_key_hash", key_hash), \
          mock.patch.object(data_io, "_PARSE_ROWS", chunk_rows), \
          mock.patch.object(data_io, "_MEMO_CELLS", memo_cells):

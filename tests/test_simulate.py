@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import chain, count
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestTemperatureProcessSpec:
             simulate.TemperatureProcessSpec(4, 0, -1)
         with pytest.raises(ParameterError):
             simulate.TemperatureProcessSpec(4, 0, 20, breakpoint_day=-1)
+        for day in (float("nan"), float("inf"), 2.5, 90.0, "90", None):
+            with pytest.raises(ParameterError, match="breakpoint_day must be an integer >= 0"):
+                simulate.TemperatureProcessSpec(4, 0, 20, breakpoint_day=day)
+
+    def test_accepts_numpy_integer_breakpoint_day(self):
+        for day in (np.int32(90), np.int64(90)):
+            assert simulate.TemperatureProcessSpec(4, 0.2, 20, breakpoint_day=day) == seasonal(4, 0.2, 20)
 
     @pytest.mark.parametrize("field", ["alpha", "beta", "noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -595,6 +603,20 @@ class TestRunGrid:
         assert np.array_equal(cell.hitting_times, alone.hitting_times)
         assert alone.ks is not None and cell.ks == alone.ks
         assert all(r.ks is None and r.z_values is None for r in seasonal_grid.cells.values())
+
+    @pytest.mark.parametrize("axes, name", [
+        (((4.0, 4.0), (0.1,), (500.0,)), "alphas"),
+        (((4.0, 4), (0.1,), (500.0,)), "alphas"),
+        (((4.0,), (0.1, 0.2, 0.1), (500.0,)), "betas"),
+        (((4.0,), (0.1,), (500.0, 500)), "taus"),
+    ])
+    def test_rejects_repeated_axis_value(self, axes, name):
+        # a repeated value would key two simulated cells alike, and the grid
+        # would keep only one of them
+        with mock.patch.object(simulate, "_run_cell") as run_cell, \
+                pytest.raises(ParameterError, match=f"{name} must be distinct"):
+            simulate.run_grid(1, *axes, replicates=20)
+        run_cell.assert_not_called()
 
     def test_format_tables_layout(self):
         grid = simulate.run_grid(
