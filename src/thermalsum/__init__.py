@@ -18,7 +18,6 @@ from .errors import (
     ThermalSumError,
 )
 from .model import (
-    CrossingTime,
     HittingTimeApprox,
     Regime,
     RegimeParams,

@@ -52,11 +52,10 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
             click.echo(f"regime=winter mean={a.mean:.6g} variance={a.variance:.6g}")
         else:
             a = model.approx_spring(params)
-            m = model.crossing_time(params)
             click.echo(
                 f"regime=spring mean={a.mean:.6g} variance={a.variance:.6g} "
                 f"linearized_variance={model.theory_approx(params).variance:.6g} "
-                f"m_tau={m.m_tau:.6g} gamma={m.gamma:.6g}"
+                f"m_tau={model.crossing_time(params):.6g} gamma={params.gamma:.6g}"
             )
             if a.short_horizon:
                 click.echo(

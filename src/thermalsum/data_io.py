@@ -568,12 +568,12 @@ def match_station(
     site: PhenologyObservation, stations: Mapping[str, tuple[float, float]]
 ) -> str | None:
     """Nearest station within MATCH_CUTOFF_KM of the site, ties broken by station id."""
-    best: tuple[float, str] | None = None
-    for sid in sorted(stations):
-        lat, lon = stations[sid]
-        d = haversine_km(site.latitude, site.longitude, lat, lon)
-        if d <= MATCH_CUTOFF_KM and (best is None or d < best[0]):
-            best = (d, sid)
+    near = (
+        (d, sid)
+        for sid, (lat, lon) in stations.items()
+        if (d := haversine_km(site.latitude, site.longitude, lat, lon)) <= MATCH_CUTOFF_KM
+    )
+    best = min(near, default=None)
     return None if best is None else best[1]
 
 

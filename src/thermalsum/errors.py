@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import operator
 
 
 class ThermalSumError(Exception):
@@ -35,3 +37,17 @@ class SingularFit(ThermalSumError):
 
 class NonPositiveEstimate(ThermalSumError):
     """A fitted quantity that must be positive came out non-positive."""
+
+
+def require_integer(name: str, value: object, least: int) -> int:
+    """operator.index(value), or ParameterError unless that exists and is >= least.
+
+    Python and numpy integers pass; floats, even integral ones, do not.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = least - 1
+    if n < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveEstimate, ParameterError, SingularFit
+from .errors import NonPositiveEstimate, ParameterError, SingularFit, require_integer
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class ForcingObservation:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
+        require_integer("n", self.n, 2)
         if self.sd_days <= 0:
             raise ParameterError(f"sd_days must be > 0, got {self.sd_days}")
 
@@ -129,8 +128,7 @@ def quantile_bin_edges(values: Iterable[float], k: int = 4) -> np.ndarray:
     Returns k+1 non-decreasing edges. Bins are left-open right-closed except
     the lowest, which includes its left endpoint.
     """
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    require_integer("k", k, 2)
     x = np.asarray(list(values), dtype=float)
     n = len(x)
     if n < k:

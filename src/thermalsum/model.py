@@ -81,17 +81,6 @@ class RegimeParams:
 
 
 @dataclass(frozen=True)
-class CrossingTime:
-    """Real-valued day at which the noise-free cumulative sum reaches tau.
-
-    gamma is None in the winter regime, where the trend offset is undefined.
-    """
-
-    m_tau: float
-    gamma: float | None
-
-
-@dataclass(frozen=True)
 class HittingTimeApprox:
     """Normal approximation for the hitting day: mean (days), variance (days^2).
 
@@ -102,7 +91,6 @@ class HittingTimeApprox:
 
     mean: float
     variance: float
-    regime: Regime
     short_horizon: bool = False
 
     @property
@@ -120,7 +108,8 @@ def _finite(closed_form: Callable) -> Callable:
     def checked(params: RegimeParams):
         try:
             result = closed_form(params)
-            finite = all(math.isfinite(v) for v in vars(result).values() if isinstance(v, float))
+            values = vars(result).values() if isinstance(result, HittingTimeApprox) else (result,)
+            finite = all(math.isfinite(v) for v in values if isinstance(v, float))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
@@ -131,19 +120,17 @@ def _finite(closed_form: Callable) -> Callable:
 
 
 @_finite
-def crossing_time(params: RegimeParams) -> CrossingTime:
-    """Exact real root m of the noise-free crossing equation xi(m) = tau.
+def crossing_time(params: RegimeParams) -> float:
+    """Exact real root m(tau) of the noise-free crossing equation xi(m) = tau.
 
     Spring regime: positive root of (beta/2) m^2 + beta*gamma*m = tau,
-    with gamma = alpha/beta + 1/2. Winter regime: tau/alpha, gamma flagged
-    as undefined.
+    with gamma = alpha/beta + 1/2. Winter regime: tau/alpha.
     """
     if params.beta == 0:
-        return CrossingTime(m_tau=params.tau / params.alpha, gamma=None)
+        return params.tau / params.alpha
     g = params.gamma
     b = params.beta
-    m = (-b * g + math.sqrt(b * b * g * g + 2.0 * b * params.tau)) / b
-    return CrossingTime(m_tau=m, gamma=g)
+    return (-b * g + math.sqrt(b * b * g * g + 2.0 * b * params.tau)) / b
 
 
 @_finite
@@ -155,7 +142,7 @@ def approx_winter(params: RegimeParams) -> HittingTimeApprox:
         )
     mean = params.tau / params.alpha
     variance = params.sigma**2 * params.tau / params.alpha**3
-    return HittingTimeApprox(mean=mean, variance=variance, regime=Regime.WINTER)
+    return HittingTimeApprox(mean=mean, variance=variance)
 
 
 @_finite
@@ -177,9 +164,8 @@ def approx_spring(params: RegimeParams) -> HittingTimeApprox:
             f"approximation at alpha={params.alpha}, beta={params.beta}"
         )
     variance = params.sigma**2 / (params.beta**1.5 * math.sqrt(2.0 * params.tau))
-    m = crossing_time(params).m_tau
     return HittingTimeApprox(
-        mean=mean, variance=variance, regime=Regime.SPRING, short_horizon=m < SHORT_HORIZON_DAYS
+        mean=mean, variance=variance, short_horizon=crossing_time(params) < SHORT_HORIZON_DAYS
     )
 
 
@@ -195,35 +181,25 @@ def theory_approx(params: RegimeParams) -> HittingTimeApprox:
     """
     if params.beta == 0:
         return approx_winter(params)
-    m = crossing_time(params).m_tau
+    m = crossing_time(params)
     return HittingTimeApprox(
         mean=m,
         variance=params.sigma**2 * m / (params.alpha + params.beta * m) ** 2,
-        regime=Regime.SPRING,
         short_horizon=m < SHORT_HORIZON_DAYS,
     )
 
 
-def sensitivity(params: RegimeParams, wrt: str) -> float:
+@_finite
+def sensitivity(params: RegimeParams) -> float:
     """Derivative of the regime's mean advancement law in its warming parameter.
 
-    wrt="alpha" (winter only): d(tau/alpha)/d(alpha) = -tau/alpha^2.
-    wrt="beta" (spring only): d(sqrt(2 tau/beta))/d(beta) = -(1/2) sqrt(2 tau/beta^3).
+    Winter (beta == 0): d(tau/alpha)/d(alpha) = -tau/alpha^2.
+    Spring (beta > 0): d(sqrt(2 tau/beta))/d(beta) = -(1/2) sqrt(2 tau/beta^3).
     Both are strictly negative: warming advances the event at a diminishing rate.
     """
-    if wrt == "alpha":
-        if params.beta != 0:
-            raise ParameterError(
-                "d(mean)/d(alpha) is the winter-regime sensitivity; requires beta == 0"
-            )
+    if params.beta == 0:
         return -params.tau / params.alpha**2
-    if wrt == "beta":
-        if params.beta == 0:
-            raise ParameterError(
-                "d(mean)/d(beta) is the spring-regime sensitivity; requires beta > 0"
-            )
-        return -0.5 * math.sqrt(2.0 * params.tau / params.beta**3)
-    raise ParameterError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
+    return -0.5 * math.sqrt(2.0 * params.tau / params.beta**3)
 
 
 def winter_overshoot_mean(alpha: float, sigma: float) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain, count, product
 from typing import Iterable, Iterator, Sequence
@@ -39,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import model
-from .errors import HorizonExceeded, ParameterError
+from .errors import HorizonExceeded, ParameterError, require_integer
 
 # Days a path may run before HorizonExceeded.
 MAX_HORIZON = 10_000
@@ -116,12 +115,7 @@ class TemperatureProcessSpec:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        try:
-            day = operator.index(self.breakpoint_day)
-        except TypeError:
-            day = -1
-        if day < 0:
-            raise ParameterError(f"breakpoint_day must be an integer >= 0, got {self.breakpoint_day!r}")
+        require_integer("breakpoint_day", self.breakpoint_day, 0)
 
     def mean_at(self, days: np.ndarray) -> np.ndarray:
         """Trend value mu_i for an array of day indices (1-based)."""
@@ -391,10 +385,9 @@ def simulate_hitting_times(
     of this changes any output. Raises HorizonExceeded if a path has not
     crossed by day MAX_HORIZON.
     """
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if seed < 0 or cell < 0:
-        raise ParameterError(f"seed and cell must be >= 0, got seed={seed}, cell={cell}")
+    replicates = require_integer("replicates", replicates, 1)
+    seed = require_integer("seed", seed, 0)
+    cell = require_integer("cell", cell, 0)
     mu = _mean_path(spec)
     plan = _block_plan(spec, tau, mu)
     out = np.empty(replicates, dtype=np.int64)

@@ -231,7 +231,7 @@ def test_criterion_7_sensitivity_finite_differences():
             model.approx_winter(model.RegimeParams(a + h, 0.0, sigma, tau)).mean
             - model.approx_winter(model.RegimeParams(a - h, 0.0, sigma, tau)).mean
         ) / (2 * h)
-        rel_a = abs(fd_a - model.sensitivity(winter, "alpha")) / abs(fd_a)
+        rel_a = abs(fd_a - model.sensitivity(winter)) / abs(fd_a)
 
         def law(beta: float) -> float:
             p = model.RegimeParams(a, beta, sigma, tau)
@@ -239,7 +239,7 @@ def test_criterion_7_sensitivity_finite_differences():
 
         fd_b = (law(b + h) - law(b - h)) / (2 * h)
         spring = model.RegimeParams(alpha=a, beta=b, sigma=sigma, tau=tau)
-        rel_b = abs(fd_b - model.sensitivity(spring, "beta")) / abs(fd_b)
+        rel_b = abs(fd_b - model.sensitivity(spring)) / abs(fd_b)
         worst = max(worst, rel_a, rel_b)
     ok = worst < 1e-4
     line = report("7", ok, f"5x5 grid, worst relative FD mismatch {worst:.2e} < 1e-4")

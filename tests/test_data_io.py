@@ -520,6 +520,46 @@ class TestMatchStation:
         stations = {"B": (40.01, -75.0), "A": (39.99, -75.0)}
         assert data_io.match_station(site(40.0, -75.0), stations) == "A"
 
+    def test_station_at_the_cutoff_matches(self):
+        stations = {"A": (40.1, -75.0)}
+        km = data_io.haversine_km(40.0, -75.0, 40.1, -75.0)
+        with mock.patch.object(data_io, "MATCH_CUTOFF_KM", km):
+            assert data_io.match_station(site(40.0, -75.0), stations) == "A"
+
+
+def sorted_station_scan(obs, stations):
+    """The match as a scan over sorted ids: a nearer station replaces the best."""
+    best = None
+    for sid in sorted(stations):
+        d = data_io.haversine_km(obs.latitude, obs.longitude, *stations[sid])
+        if d <= data_io.MATCH_CUTOFF_KM and (best is None or d < best[0]):
+            best = (d, sid)
+    return None if best is None else best[1]
+
+
+_KM_PER_DEGREE = math.pi * data_io.EARTH_RADIUS_KM / 180.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0), data=st.data())
+def test_match_equals_sorted_scan(lat, lon, data):
+    # stations draw from a small pool of places, so coordinates repeat under
+    # several ids; the pool holds the site itself, points on its meridian
+    # 1e-9 km inside and outside the cutoff to north and south, a place with
+    # no distance (NaN) and a few nearby places
+    inside, outside = ((data_io.MATCH_CUTOFF_KM + e) / _KM_PER_DEGREE for e in (-1e-9, 1e-9))
+    obs = site(lat, lon)
+    for step, within in ((inside, True), (outside, False)):
+        for north in (step, -step):
+            d = data_io.haversine_km(lat, lon, lat + north, lon)
+            assert (d <= data_io.MATCH_CUTOFF_KM) is within
+    nearby = st.tuples(st.floats(lat - 0.3, lat + 0.3), st.floats(lon - 0.3, lon + 0.3))
+    pool = [(lat, lon), (lat + inside, lon), (lat - inside, lon), (lat + outside, lon),
+            (lat - outside, lon), (math.nan, lon)] + data.draw(st.lists(nearby, max_size=4))
+    ids = data.draw(st.lists(st.text("ABC", min_size=1, max_size=3), unique=True, max_size=12))
+    stations = {sid: data.draw(st.sampled_from(pool)) for sid in ids}
+    assert data_io.match_station(obs, stations) == sorted_station_scan(obs, stations)
+
 
 def synthetic_year_records(station_id, lat, lon, year=2021, alpha=3.0, beta=0.25):
     """Complete Jan-Apr daily records following the two-regime trend."""

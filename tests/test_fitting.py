@@ -25,11 +25,16 @@ class TestForcingObservation:
             {"alpha": 0.0, "n": 30, "mean_days": 10, "sd_days": 1},
             {"alpha": 5.0, "n": 1, "mean_days": 10, "sd_days": 1},
             {"alpha": 5.0, "n": 30, "mean_days": 10, "sd_days": 0.0},
+            {"alpha": 5.0, "n": 2.5, "mean_days": 10, "sd_days": 1},
+            {"alpha": 5.0, "n": 30.0, "mean_days": 10, "sd_days": 1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             fitting.ForcingObservation(**kwargs)
+
+    def test_accepts_numpy_integer_n(self):
+        assert fitting.ForcingObservation(alpha=5.0, n=np.int64(30), mean_days=10.0, sd_days=1.0).n == 30
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["alpha", "mean_days", "sd_days"])
@@ -133,6 +138,15 @@ class TestQuantileBinEdges:
             fitting.quantile_bin_edges([1, 2, 3], k=1)
         with pytest.raises(ParameterError):
             fitting.quantile_bin_edges([1, 2, 3], k=4)
+        for k in (2.5, 4.0):
+            with pytest.raises(ParameterError, match="k must be an integer >= 2"):
+                fitting.quantile_bin_edges(range(1, 6), k=k)
+            with pytest.raises(ParameterError, match="k must be an integer >= 2"):
+                fitting.bin_location_scale([(1.0, 0.5, 100.0)] * 8, k=k)
+
+    def test_accepts_numpy_integer_k(self):
+        want = fitting.quantile_bin_edges(range(1, 6), k=2)
+        assert fitting.quantile_bin_edges(range(1, 6), k=np.int64(2)).tolist() == want.tolist()
 
 
 @st.composite

@@ -77,36 +77,36 @@ class TestDeterministicCumsum:
 class TestCrossingTime:
     def test_quadratic_root_matches_independent_root_finder(self):
         p = params(alpha=4, beta=0.8, tau=2000)
-        ct = model.crossing_time(p)
-        assert ct.gamma == pytest.approx(5.5)
+        m = model.crossing_time(p)
         # brentq on the crossing equation, independent of the closed form
         oracle = brentq(
             lambda m: 0.5 * p.beta * m * m + p.beta * p.gamma * m - p.tau,
             1e-9, 1e6, xtol=1e-12, rtol=8.9e-16,
         )
         assert oracle == pytest.approx(65.42425537148767, rel=1e-12)
-        assert ct.m_tau == pytest.approx(oracle, rel=1e-10)
+        assert m == pytest.approx(oracle, rel=1e-10)
 
     def test_winter_crossing_is_tau_over_alpha(self):
-        ct = model.crossing_time(params(alpha=4, beta=0, tau=1000))
-        assert ct.m_tau == 250.0
-        assert ct.gamma is None
+        assert model.crossing_time(params(alpha=4, beta=0, tau=1000)) == 250.0
+
+    def test_winter_crossing_outside_doubles_raises_domain_error(self):
+        with pytest.raises(ApproximationDomainError, match="crossing_time is not finite"):
+            model.crossing_time(params(alpha=1e-300, beta=0, tau=1e300))
 
     def test_vanishing_threshold(self):
-        ct = model.crossing_time(params(alpha=4, beta=0.8, tau=1e-6))
-        assert 0 < ct.m_tau < 1e-3
+        assert 0 < model.crossing_time(params(alpha=4, beta=0.8, tau=1e-6)) < 1e-3
 
     def test_root_satisfies_crossing_equation(self):
         for a, b, tau in [(4, 0.8, 2000), (2, 0.1, 1000), (10, 0.4, 500), (1, 2.0, 123)]:
             p = params(alpha=a, beta=b, tau=tau)
-            m = model.crossing_time(p).m_tau
+            m = model.crossing_time(p)
             xi = 0.5 * b * m * m + b * p.gamma * m
             assert xi == pytest.approx(tau, rel=1e-9)
 
     def test_cumsum_brackets_real_root(self):
         for a, b, tau in [(4, 0.8, 2000), (2, 0.1, 1000), (8, 0.2, 1500), (3, 1.5, 700)]:
             p = params(alpha=a, beta=b, tau=tau)
-            m = model.crossing_time(p).m_tau
+            m = model.crossing_time(p)
             assert deterministic_cumsum(p, math.floor(m)) <= tau
             assert deterministic_cumsum(p, math.ceil(m)) >= tau
 
@@ -116,7 +116,6 @@ class TestApproxWinter:
         a = model.approx_winter(params(alpha=4, sigma=20, tau=1000))
         assert a.mean == 250.0
         assert a.variance == pytest.approx(6250.0)
-        assert a.regime is model.Regime.WINTER
 
     def test_second_point(self):
         a = model.approx_winter(params(alpha=4, sigma=20, tau=2000))
@@ -135,7 +134,6 @@ class TestApproxSpring:
         a = model.approx_spring(params(alpha=4, beta=0.8, sigma=20, tau=2000))
         assert a.mean == pytest.approx(65.21067811865476)
         assert a.variance == pytest.approx(8.838834764831843)
-        assert a.regime is model.Regime.SPRING
         assert not a.short_horizon
 
     def test_second_point(self):
@@ -161,39 +159,32 @@ class TestApproxSpring:
 
     def test_linearized_variance_formula(self):
         p = params(alpha=4, beta=0.8, sigma=20, tau=2000)
-        m = model.crossing_time(p).m_tau
+        m = model.crossing_time(p)
         expected = 400 * m / (4 + 0.8 * m) ** 2
         assert model.theory_approx(p).variance == pytest.approx(expected, rel=1e-12)
 
     def test_linearized_form_centers_on_exact_crossing(self):
         p = params(alpha=2, beta=0.1, sigma=20, tau=2000)
         lin = model.theory_approx(p)
-        m = model.crossing_time(p).m_tau
+        m = model.crossing_time(p)
         assert lin.mean == pytest.approx(m, rel=1e-12)
         assert lin.variance == pytest.approx(400 * m / (2 + 0.1 * m) ** 2, rel=1e-12)
-        assert lin.regime is model.Regime.SPRING and not lin.short_horizon
+        assert not lin.short_horizon
 
     def test_theory_approx_dispatch(self):
-        assert model.theory_approx(params(beta=0.0)).regime is model.Regime.WINTER
+        winter = params(beta=0.0)
+        assert model.theory_approx(winter) == model.approx_winter(winter)
         spring = model.theory_approx(params(alpha=2, beta=0.1, tau=2000))
-        assert spring.mean == pytest.approx(model.crossing_time(params(alpha=2, beta=0.1, tau=2000)).m_tau)
+        assert spring.mean == pytest.approx(model.crossing_time(params(alpha=2, beta=0.1, tau=2000)))
 
 
 class TestSensitivity:
     def test_winter_value(self):
-        assert model.sensitivity(params(alpha=4, tau=1000), "alpha") == pytest.approx(-62.5)
+        assert model.sensitivity(params(alpha=4, tau=1000)) == pytest.approx(-62.5)
 
     def test_spring_value(self):
-        got = model.sensitivity(params(alpha=4, beta=0.8, tau=2000), "beta")
+        got = model.sensitivity(params(alpha=4, beta=0.8, tau=2000))
         assert got == pytest.approx(-44.194173824159215)
-
-    def test_rejects_wrong_regime(self):
-        with pytest.raises(ParameterError):
-            model.sensitivity(params(beta=0.0), "beta")
-        with pytest.raises(ParameterError):
-            model.sensitivity(params(beta=0.5), "alpha")
-        with pytest.raises(ParameterError):
-            model.sensitivity(params(), "tau")
 
     def test_winter_matches_finite_difference(self):
         tau, h = 1000.0, 1e-3
@@ -201,7 +192,7 @@ class TestSensitivity:
             model.approx_winter(params(alpha=4 + h, tau=tau)).mean
             - model.approx_winter(params(alpha=4 - h, tau=tau)).mean
         ) / (2 * h)
-        analytic = model.sensitivity(params(alpha=4, tau=tau), "alpha")
+        analytic = model.sensitivity(params(alpha=4, tau=tau))
         assert fd == pytest.approx(analytic, rel=1e-4)
 
     def test_spring_matches_finite_difference_of_advancement_law(self):
@@ -215,14 +206,20 @@ class TestSensitivity:
             return model.approx_spring(p).mean + p.gamma
 
         fd = (law(0.8 + h) - law(0.8 - h)) / (2 * h)
-        analytic = model.sensitivity(params(alpha=4, beta=0.8, tau=tau), "beta")
+        analytic = model.sensitivity(params(alpha=4, beta=0.8, tau=tau))
         assert fd == pytest.approx(analytic, rel=1e-4)
 
     def test_strictly_negative_over_grid(self):
         for a in (1, 2, 5, 10):
-            assert model.sensitivity(params(alpha=a, tau=1500), "alpha") < 0
+            assert model.sensitivity(params(alpha=a, tau=1500)) < 0
         for b in (0.05, 0.2, 1.0, 3.0):
-            assert model.sensitivity(params(alpha=4, beta=b, tau=1500), "beta") < 0
+            assert model.sensitivity(params(alpha=4, beta=b, tau=1500)) < 0
+
+    @pytest.mark.parametrize("fields", [dict(alpha=1e-200), dict(beta=1e-300)],
+                             ids=["alpha_squared_underflows", "beta_cubed_underflows"])
+    def test_result_outside_doubles_raises_domain_error(self, fields):
+        with pytest.raises(ApproximationDomainError, match="sensitivity is not finite"):
+            model.sensitivity(params(**fields))
 
 
 class TestStandardNormal:
@@ -269,11 +266,11 @@ class TestModelProperties:
 
     def test_diminishing_sensitivity_in_alpha_and_beta(self):
         alphas = np.linspace(2, 10, 9)
-        sens_a = [abs(model.sensitivity(params(alpha=a, tau=1500), "alpha")) for a in alphas]
+        sens_a = [abs(model.sensitivity(params(alpha=a, tau=1500))) for a in alphas]
         assert all(x > y for x, y in zip(sens_a, sens_a[1:]))
         betas = np.linspace(0.1, 1.5, 9)
         sens_b = [
-            abs(model.sensitivity(params(alpha=4, beta=b, tau=1500), "beta")) for b in betas
+            abs(model.sensitivity(params(alpha=4, beta=b, tau=1500))) for b in betas
         ]
         assert all(x > y for x, y in zip(sens_b, sens_b[1:]))
 

@@ -264,8 +264,15 @@ class TestBatchProperties:
             simulate.simulate_hitting_times(spec, tau, simulate._CHUNK, seed=2)
 
     def test_rejects_zero_replicates(self):
-        with pytest.raises(ParameterError):
-            simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, 0, seed=1)
+        for replicates in (0, 2.5, 3.0, "3", None):
+            with pytest.raises(ParameterError, match="replicates must be an integer >= 1"):
+                simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, replicates, seed=1)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = linear(4, 0, 20)
+        want = simulate.simulate_hitting_times(spec, 100.0, 5, seed=3, cell=2)
+        got = simulate.simulate_hitting_times(spec, 100.0, np.int64(5), seed=np.uint32(3), cell=np.int32(2))
+        assert got.tolist() == want.tolist()
 
 
 # (spec, tau, cell): Gaussian rows crossing in 150-250 days, two-point rows
@@ -526,9 +533,9 @@ class TestBulkSeeding:
                 for i in range(n)]
         assert times.tolist() == loop
 
-    @pytest.mark.parametrize("seed, cell", [(-1, 0), (0, -1)])
+    @pytest.mark.parametrize("seed, cell", [(-1, 0), (0, -1), (1.5, 0), (1.0, 0), (0, 2.5), (0, 2.0)])
     def test_rejects_negative_seed_or_cell(self, seed, cell):
-        with pytest.raises(ParameterError, match="must be >= 0"):
+        with pytest.raises(ParameterError, match="(seed|cell) must be an integer >= 0"):
             simulate.simulate_hitting_times(linear(4, 0, 20), 100.0, 3, seed=seed, cell=cell)
 
 
