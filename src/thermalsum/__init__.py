@@ -33,7 +33,6 @@ from .simulate import (
     TemperatureProcessSpec,
     ks_distance,
     run_grid,
-    run_simulation_1,
     simulate_hitting_times,
 )
 from .regimes import (

@@ -60,13 +60,13 @@ def _relative(name: str, got: float, expected: float, bound: float) -> Check:
 
 
 def sim2_mean_checks(grid: SimulationGrid) -> list[Check]:
-    return [_absolute(f"sim2 mean a={a:g} b={b:g} tau={tau:g}", grid.mean(a, b, tau), expected,
+    return [_absolute(f"sim2 mean a={a:g} b={b:g} tau={tau:g}", grid.cells[(a, b, tau)].mean, expected,
                       reference.SIM2_MEAN_TOL_DAYS)
             for (a, b, tau), expected in sorted(reference.SIM2_MEANS.items())]
 
 
 def sim2_sd_checks(grid: SimulationGrid) -> list[Check]:
-    return [_relative(f"sim2 sd a={a:g} b={b:g} tau={tau:g}", grid.sd(a, b, tau), expected,
+    return [_relative(f"sim2 sd a={a:g} b={b:g} tau={tau:g}", grid.cells[(a, b, tau)].sd, expected,
                       reference.SIM2_SD_REL_TOL)
             for (a, b, tau), expected in sorted(reference.SIM2_SDS.items())]
 
@@ -126,7 +126,7 @@ def sim1_ks_checks(grid: SimulationGrid) -> list[Check]:
         bound, note = reference.SIM1_KS_BOUND, "" if cell.ks is not None else "no z values"
         if cell.ks is not None and b == 0:
             gap = _normal_ig_gap(a, grid.sigma, tau)
-            eps = math.sqrt(math.log(2.0 / reference.SIM1_KS_DKW_LEVEL) / (2 * cell.replicate_count))
+            eps = math.sqrt(math.log(2.0 / reference.SIM1_KS_DKW_LEVEL) / (2 * len(cell.hitting_times)))
             bound = max(bound, gap + eps)
             note = f"max({reference.SIM1_KS_BOUND}, IG gap {gap:.4f} + DKW {eps:.4f})"
         out.append(Check(f"sim1 ks a={a:g} b={b:g} tau={tau:g}", _ks(cell), "<", bound, note))
@@ -167,7 +167,7 @@ def winter_agreement_checks(grid: SimulationGrid) -> list[Check]:
     overshoot = model.winter_overshoot_mean(alpha, grid.sigma)
     mean_target = (tau + overshoot) / alpha
     var_target = grid.sigma**2 * tau / alpha**3
-    se = math.sqrt(var_target / cell.replicate_count)
+    se = math.sqrt(var_target / len(cell.hitting_times))
     return [
         _absolute("winter mean agreement", cell.mean, mean_target, reference.WINTER_MEAN_TOL_SE * se,
                   f", target (tau + E[R_inf])/alpha, E[R_inf] {overshoot:.2f}; SE {se:.3f}"),

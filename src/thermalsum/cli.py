@@ -277,7 +277,7 @@ def _lilac_rows(phen_path: Path, temp_path: Path, units: str) -> list[data_io.An
         raise click.UsageError(f"cannot read {path}: {exc}") from None
     rows, diag = data_io.build_analysis_rows(observations, parsed.records)
     click.echo(
-        f"lilac-bins: {diag.n_rows} rows from {diag.n_observations} observations "
+        f"lilac-bins: {len(rows)} rows from {diag.n_observations} observations "
         f"({diag.n_no_station} unmatched, {diag.n_insufficient} incomplete, "
         f"{parsed.rejected} rejected temperature rows)"
     )

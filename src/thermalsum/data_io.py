@@ -147,14 +147,7 @@ def parse_temperature_csv(
     columns = [np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0), np.empty(0)]
     n = rejected = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        if [h.strip() for h in header] != TEMPERATURE_HEADER:
-            raise MissingHeader(
-                f"{path}: expected header {','.join(TEMPERATURE_HEADER)}, got {','.join(header)}"
-            )
+        _read_header(path, csv.reader(fh), TEMPERATURE_HEADER)
         # map holds no chunk, so a chunk's rows are freed before the next is read
         parse = functools.partial(
             _parse_rows, cells=cells, tenths=units == "tenths", codes=codes, places=places, keep=keep
@@ -172,6 +165,17 @@ def parse_temperature_csv(
     ids = tuple(s for _, s in sorted((c, s) for s, c in zip(names, codes) if c >= 0))
     table = StationTable(ids, latitude, longitude, *(c[:n].copy() for c in columns))
     return ParseResult(records=table, rejected=rejected)
+
+
+def _read_header(path: str | Path, reader: Iterator[list[str]], expected: list[str]) -> None:
+    """Read the first row of reader; EmptyFile if there is none, MissingHeader
+    unless its stripped cells are expected."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyFile(f"{path} is empty") from None
+    if [h.strip() for h in header] != expected:
+        raise MissingHeader(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
 
 
 class _JoinRows:
@@ -382,7 +386,7 @@ def _parse_rows(
     chunk is csv's rows, or lines as bytes for _line_columns. A cell that
     fails marks its row: 0 (the blank id's index) for a station id, -1 for
     a date, inf for a number (NaN is a blank). Then |lat| <= 90 and |lon| <=
-    180, with tenths the readings' scale of 0.1, and tmin <= tmax hold for
+    180, with tenths the readings divided by 10, and tmin <= tmax hold for
     whole columns. codes[i] is the code of the station with id index i: -2
     until its first accepted row, then its index in places, at that row's
     coordinates, if keep passes it, else -1. np.asarray views codes without
@@ -391,7 +395,7 @@ def _parse_rows(
     columns = (_line_columns if isinstance(chunk, np.ndarray) else _row_columns)(chunk, cells)
     ids, day, (lat, lon, tmax, tmin), blank = columns
     if tenths:
-        tmax, tmin = tmax * 0.1, tmin * 0.1
+        tmax, tmin = tmax / 10, tmin / 10
     has_id = ids > 0
     ok = has_id & (day > 0) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
     ok &= ~np.isinf(tmax) & ~np.isinf(tmin) & ~(tmax < tmin)
@@ -468,14 +472,7 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        if [h.strip() for h in header] != PHENOLOGY_HEADER:
-            raise MissingHeader(
-                f"{path}: expected header {','.join(PHENOLOGY_HEADER)}, got {','.join(header)}"
-            )
+        _read_header(path, reader, PHENOLOGY_HEADER)
         out = []
         for row in reader:
             if not row or all(not c.strip() for c in row):
@@ -579,10 +576,11 @@ def match_station(
 
 @dataclass
 class JoinDiagnostics:
+    """Observations read, and those a join dropped; the joined count is len(rows)."""
+
     n_observations: int = 0
     n_no_station: int = 0
     n_insufficient: int = 0
-    n_rows: int = 0
 
 
 def build_analysis_rows(
@@ -642,7 +640,6 @@ def build_analysis_rows(
                 bloom_doy=obs.bloom_doy,
             )
         )
-        diag.n_rows += 1
     return rows, diag
 
 

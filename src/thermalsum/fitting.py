@@ -55,7 +55,8 @@ class WinterFit:
     sampling variance of s^2 up to a constant), giving sigma_hat^2.
     r_squared_weighted is the squared weighted correlation between observed
     and fitted means under the stage-1 weights (the centered SS form is not
-    meaningful for a through-origin fit).
+    meaningful for a through-origin fit). It is NaN when the observed means
+    do not vary, where the correlation is undefined.
     """
 
     tau_hat: float
@@ -103,12 +104,15 @@ def fit_winter_wls(observations: Sequence[ForcingObservation]) -> WinterFit:
 
 
 def _weighted_corr_sq(y: np.ndarray, yhat: np.ndarray, w: np.ndarray) -> float:
+    """Squared weighted correlation of y and yhat; NaN unless both vary."""
+    if y.min() == y.max():  # the weighted mean of equal values may round off them
+        return math.nan
     wsum = w.sum()
     dy = y - np.sum(w * y) / wsum
     dh = yhat - np.sum(w * yhat) / wsum
     num = np.sum(w * dy * dh)
     den = np.sqrt(np.sum(w * dy * dy) * np.sum(w * dh * dh))
-    return float((num / den) ** 2) if den > 0 else 1.0
+    return float((num / den) ** 2) if den > 0 else math.nan
 
 
 def load_walnut_observations() -> list[ForcingObservation]:

@@ -138,13 +138,8 @@ class SimulationResult:
     hitting_times: np.ndarray
     mean: float
     sd: float
-    seed: int
     z_values: np.ndarray | None = None
     ks: float | None = None
-
-    @property
-    def replicate_count(self) -> int:
-        return len(self.hitting_times)
 
 
 def substream(seed: int, cell: int, replicate: int) -> np.random.Generator:
@@ -461,7 +456,6 @@ def _run_cell(
         hitting_times=times,
         mean=float(times.mean()),
         sd=float(times.std(ddof=1)) if replicates > 1 else 0.0,
-        seed=seed,
     )
     if spec.breakpoint_day == 0 and spec.noise_sigma > 0:
         params = model.RegimeParams(alpha=spec.alpha, beta=spec.beta, sigma=spec.noise_sigma, tau=tau)
@@ -471,42 +465,19 @@ def _run_cell(
     return result
 
 
-def run_simulation_1(
-    alpha: float,
-    beta: float,
-    tau: float,
-    sigma: float = DEFAULT_SIGMA,
-    replicates: int = DEFAULT_REPLICATES,
-    seed: int = 0,
-    cell: int = 0,
-) -> SimulationResult:
-    """Linear-trend verification run for one (alpha, beta, tau) grid point.
-
-    The result carries the normality diagnostics of _run_cell. With
-    sigma == 0 the path is deterministic: all hitting times coincide and
-    z/ks are None.
-    """
-    spec = TemperatureProcessSpec(alpha, beta, sigma)
-    return _run_cell(spec, tau, replicates, seed, cell)
-
-
 @dataclass
 class SimulationGrid:
-    """Per-cell results over an (alpha, beta, tau) grid."""
+    """Per-cell results over an (alpha, beta, tau) grid under one master seed.
+
+    A cell's replicate count is len(hitting_times).
+    """
 
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
     taus: tuple[float, ...]
     sigma: float
-    replicates: int
     seed: int
     cells: dict[tuple[float, float, float], SimulationResult] = field(default_factory=dict)
-
-    def mean(self, alpha: float, beta: float, tau: float) -> float:
-        return self.cells[(alpha, beta, tau)].mean
-
-    def sd(self, alpha: float, beta: float, tau: float) -> float:
-        return self.cells[(alpha, beta, tau)].sd
 
     def format_tables(self) -> str:
         """Aligned text: one mean table and one sd table per threshold."""
@@ -542,7 +513,7 @@ def run_grid(
     """
     grid = SimulationGrid(
         alphas=tuple(alphas), betas=tuple(betas), taus=tuple(taus),
-        sigma=DEFAULT_SIGMA, replicates=replicates, seed=seed,
+        sigma=DEFAULT_SIGMA, seed=seed,
     )
     for name, axis in (("alphas", grid.alphas), ("betas", grid.betas), ("taus", grid.taus)):
         if len(set(axis)) < len(axis):
@@ -560,7 +531,7 @@ def summary_csv_rows(grid: SimulationGrid) -> list[str]:
         r = grid.cells[(a, b, tau)]
         ks = "" if r.ks is None else f"{r.ks:.6g}"
         lines.append(
-            f"{a:.6g},{b:.6g},{tau:.6g},{grid.sigma:.6g},{r.replicate_count},{r.seed},"
+            f"{a:.6g},{b:.6g},{tau:.6g},{grid.sigma:.6g},{len(r.hitting_times)},{grid.seed},"
             f"{r.mean:.6g},{r.sd:.6g},{ks}"
         )
     return lines

@@ -92,7 +92,7 @@ def at_first_places(records: Iterable[StationRecord]) -> list[StationRecord]:
 
 def parse_temperature_rows(path: str | Path, units: str = "degrees") -> tuple[list[StationRecord], int]:
     """(accepted records, rejected count), one row at a time; header not checked."""
-    scale = 0.1 if units == "tenths" else 1.0
+    divisor = 10 if units == "tenths" else 1
     records, rejected = [], 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -101,13 +101,13 @@ def parse_temperature_rows(path: str | Path, units: str = "degrees") -> tuple[li
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                records.append(_parse_temperature_row(row, scale))
+                records.append(_parse_temperature_row(row, divisor))
             except (ValueError, IndexError):
                 rejected += 1
     return records, rejected
 
 
-def _parse_temperature_row(row: Sequence[str], scale: float) -> StationRecord:
+def _parse_temperature_row(row: Sequence[str], divisor: int) -> StationRecord:
     station_id = row[0].strip()
     if not station_id:
         raise ValueError("blank station_id")
@@ -122,8 +122,8 @@ def _parse_temperature_row(row: Sequence[str], scale: float) -> StationRecord:
         raise ValueError("non-finite coordinates")
     if abs(lat) > 90 or abs(lon) > 180:
         raise ValueError("coordinates out of range")
-    tmax = float(row[4]) * scale if row[4].strip() else None
-    tmin = float(row[5]) * scale if row[5].strip() else None
+    tmax = float(row[4]) / divisor if row[4].strip() else None
+    tmin = float(row[5]) / divisor if row[5].strip() else None
     if any(t is not None and not math.isfinite(t) for t in (tmax, tmin)):
         raise ValueError("non-finite reading")
     if tmax is not None and tmin is not None and tmax < tmin:

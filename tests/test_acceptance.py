@@ -62,7 +62,7 @@ def test_criterion_1_seasonal_mean_grid(sim2_grid):
     outcomes = checks.sim2_mean_checks(grid)
     failures = [c for c in outcomes if not c.ok]
     worst = max(
-        abs(grid.mean(*k) - v) for k, v in reference.SIM2_MEANS.items()
+        abs(grid.cells[k].mean - v) for k, v in reference.SIM2_MEANS.items()
     )
     runtime_ok = elapsed < RUNTIME_BUDGET_S
     detail = (
@@ -80,7 +80,7 @@ def test_criterion_2_seasonal_sd_grid(sim2_grid):
     outcomes = checks.sim2_sd_checks(grid)
     failures = [c for c in outcomes if not c.ok]
     worst = max(
-        abs(grid.sd(*k) / v - 1.0) for k, v in reference.SIM2_SDS.items()
+        abs(grid.cells[k].sd / v - 1.0) for k, v in reference.SIM2_SDS.items()
     )
     detail = (
         f"18/18 cells within {reference.SIM2_SD_REL_TOL:.0%} relative (worst {worst:.2%})"
@@ -257,7 +257,7 @@ def test_criterion_8_binning_pipeline_on_synthetic_grid(sim2_grid):
         triples, alpha_edges=reference.SYNTHETIC_ALPHA_EDGES,
         beta_edges=reference.SYNTHETIC_BETA_EDGES,
     )
-    assert binned.counts.sum() == 9 * grid.replicates
+    assert binned.counts.sum() == 9 * simulate.DEFAULT_REPLICATES
     outcomes = checks.synthetic_binning_checks(binned)
     failures = [c for c in outcomes if not c.ok]
     detail = (
@@ -295,7 +295,7 @@ def test_criterion_9_substream_identity(target, sim1_grid, sim2_grid):
         grid, breakpoint_day = sim1_grid, 0
     else:
         grid, breakpoint_day = sim2_grid[0], simulate.SIM2_BREAKPOINT_DAY
-    r = grid.replicates
+    r = simulate.DEFAULT_REPLICATES
     mismatches = []
     for cell, (a, b, tau) in enumerate(product(grid.alphas, grid.betas, grid.taus)):
         spec = simulate.TemperatureProcessSpec(a, b, grid.sigma, breakpoint_day=breakpoint_day)

@@ -76,10 +76,10 @@ class TestGatesFailAtATie:
 
     def test_sim1_grid_without_winter_pair(self):
         grid = SimulationGrid(alphas=(2.0,), betas=(0.1,), taus=(1000.0, 2000.0),
-                              sigma=20.0, replicates=10, seed=0)
+                              sigma=20.0, seed=0)
         for tau, ks in ((1000.0, 0.03), (2000.0, 0.02)):
             grid.cells[(2.0, 0.1, tau)] = SimulationResult(
-                hitting_times=np.ones(10, dtype=np.int64), mean=1.0, sd=0.0, seed=0, ks=ks,
+                hitting_times=np.ones(10, dtype=np.int64), mean=1.0, sd=0.0, ks=ks,
             )
         c = checks.sim1_improvement_check(grid)
         assert math.isnan(c.value) and not c.ok
@@ -155,13 +155,13 @@ class TestNormalIgGap:
 def _fake_results(ks: dict[tuple[float, float], tuple[float, float]]):
     r = 10_000
     grid = SimulationGrid(alphas=SIM1_ALPHAS, betas=SIM1_BETAS, taus=SIM1_TAUS,
-                          sigma=20.0, replicates=r, seed=0)
+                          sigma=20.0, seed=0)
     for a in SIM1_ALPHAS:
         for b in SIM1_BETAS:
             for tau, value in zip(sorted(SIM1_TAUS), ks[(a, b)]):
                 grid.cells[(a, b, tau)] = SimulationResult(
                     hitting_times=np.ones(r, dtype=np.int64),
-                    mean=1.0, sd=0.0, seed=0, ks=value,
+                    mean=1.0, sd=0.0, ks=value,
                 )
     return grid
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalsum import fitting
+from thermalsum import checks, fitting
 from thermalsum.errors import NonPositiveEstimate, ParameterError, SingularFit
 
 
@@ -58,6 +58,18 @@ class TestFitWinterWls:
         assert fit.tau_hat == pytest.approx(599.0, rel=1e-9)
         assert fit.sigma_hat == pytest.approx(22.087008849847052, rel=1e-9)
         assert fit.r_squared_weighted == pytest.approx(0.9617453958467164, rel=1e-9)
+
+    # at 1.0998 days the weighted mean of the equal means rounds off them
+    @pytest.mark.parametrize("mean_days", [100.0, 1.0998])
+    def test_r_squared_undefined_when_observed_means_do_not_vary(self, mean_days):
+        # the fit still runs (fitted means fall as 1/alpha), but flat observed
+        # means correlate with nothing, so R^2 is NaN and its walnut gate fails
+        obs = [fitting.ForcingObservation(a, 20, mean_days, 10.0) for a in (5.0, 10.0, 15.0, 20.0)]
+        fit = fitting.fit_winter_wls(obs)
+        assert all(x > y for x, y in zip(fit.fitted_means, fit.fitted_means[1:]))
+        assert math.isnan(fit.r_squared_weighted)
+        r2_gate = checks.walnut_checks(fit)[-1]
+        assert r2_gate.name.startswith("walnut weighted R^2") and not r2_gate.ok
 
     def test_fitted_curves_strictly_decreasing(self):
         obs = fitting.load_walnut_observations()

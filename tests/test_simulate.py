@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from itertools import chain, count
 from unittest import mock
@@ -209,9 +210,8 @@ class TestBatchProperties:
         # noiseless, so the hitting time is fixed by rounding alone: the
         # sequential Z_258 = 25.800000000000097 already exceeds tau, while a
         # carry added after a block's cumsum can round the crossing to day 259
-        res = simulate.run_simulation_1(0.1, 0.0, 25.800000000000093, sigma=0.0,
-                                        replicates=3, seed=0)
-        assert res.hitting_times.tolist() == [258, 258, 258]
+        times = simulate.simulate_hitting_times(linear(0.1, 0.0, 0.0), 25.800000000000093, 3, seed=0)
+        assert times.tolist() == [258, 258, 258]
         assert np.cumsum(np.full(258, 0.1))[-1] == 25.800000000000097
 
     def test_stopping_rule_on_replayed_paths(self):
@@ -564,22 +564,28 @@ class TestKsDistance:
         assert ours == pytest.approx(oracle, rel=1e-12)
 
 
-class TestRunSimulation1:
+def one_cell(seed, alpha, beta, tau, replicates):
+    """The one cell of a one-cell run_grid."""
+    grid = simulate.run_grid(seed, (alpha,), (beta,), (tau,), replicates=replicates)
+    return grid.cells[(alpha, beta, tau)]
+
+
+class TestRunCell:
     def test_degenerate_noiseless(self):
-        res = simulate.run_simulation_1(4, 0, 1000, sigma=0.0, replicates=50, seed=2)
+        res = simulate._run_cell(linear(4, 0, 0.0), 1000.0, 50, seed=2, cell=0)
         assert res.z_values is None and res.ks is None
         assert np.all(res.hitting_times == res.hitting_times[0])
 
     def test_summary_self_consistency(self):
-        res = simulate.run_simulation_1(4, 0.1, 1000, replicates=500, seed=8)
+        res = one_cell(8, 4.0, 0.1, 1000.0, replicates=500)
         assert res.mean == pytest.approx(float(res.hitting_times.mean()))
         assert res.sd == pytest.approx(float(res.hitting_times.std(ddof=1)))
-        assert res.replicate_count == 500 == len(res.hitting_times)
+        assert len(res.hitting_times) == 500
         assert np.all(res.hitting_times >= 1)
         assert np.all(res.hitting_times <= simulate.MAX_HORIZON)
 
     def test_z_standardized_against_matching_regime(self):
-        res = simulate.run_simulation_1(4, 0.1, 2000, replicates=400, seed=8)
+        res = one_cell(8, 4.0, 0.1, 2000.0, replicates=400)
         assert res.z_values is not None
         theory = model.theory_approx(
             model.RegimeParams(alpha=4, beta=0.1, sigma=simulate.DEFAULT_SIGMA, tau=2000)
@@ -590,14 +596,18 @@ class TestRunSimulation1:
 
 
 class TestRunGrid:
-    def test_grid_shape_and_accessors(self):
+    def test_grid_shape_and_cells(self):
         grid = simulate.run_grid(
             3, (4.0,), (0.2, 0.8), (500.0,),
             breakpoint_day=simulate.SIM2_BREAKPOINT_DAY, replicates=60,
         )
+        # the grid keeps its axes, sigma, seed and cells; each cell knows its own count
+        assert [f.name for f in dataclasses.fields(grid)] == [
+            "alphas", "betas", "taus", "sigma", "seed", "cells"]
         assert set(grid.cells) == {(4.0, 0.2, 500.0), (4.0, 0.8, 500.0)}
-        assert grid.mean(4.0, 0.2, 500.0) > grid.mean(4.0, 0.8, 500.0)
-        assert grid.sd(4.0, 0.2, 500.0) > 0
+        assert grid.cells[(4.0, 0.2, 500.0)].mean > grid.cells[(4.0, 0.8, 500.0)].mean
+        assert grid.cells[(4.0, 0.2, 500.0)].sd > 0
+        assert all(len(r.hitting_times) == 60 for r in grid.cells.values())
 
     def test_diagnostics_only_on_linear_trend(self):
         # the closed forms describe the linear trend; a cell of a linear grid
@@ -605,10 +615,11 @@ class TestRunGrid:
         axes = ((4.0,), (0.1,), (500.0, 800.0))
         linear_grid = simulate.run_grid(5, *axes, replicates=40)
         seasonal_grid = simulate.run_grid(5, *axes, breakpoint_day=30, replicates=40)
-        alone = simulate.run_simulation_1(4.0, 0.1, 800.0, replicates=40, seed=5, cell=1)
+        spec = linear(4.0, 0.1, simulate.DEFAULT_SIGMA)
+        alone = simulate.simulate_hitting_times(spec, 800.0, 40, seed=5, cell=1)
         cell = linear_grid.cells[(4.0, 0.1, 800.0)]
-        assert np.array_equal(cell.hitting_times, alone.hitting_times)
-        assert alone.ks is not None and cell.ks == alone.ks
+        assert np.array_equal(cell.hitting_times, alone)
+        assert cell.ks is not None
         assert all(r.ks is None and r.z_values is None for r in seasonal_grid.cells.values())
 
     @pytest.mark.parametrize("axes, name", [
