@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     HittingTimeApprox,
-    Regime,
     RegimeParams,
     approx_spring,
     approx_winter,

@@ -47,17 +47,18 @@ def approx(alpha: float, beta: float, sigma: float, tau: float) -> None:
     """Print the closed-form hitting-day approximation for one parameter set."""
     try:
         params = model.RegimeParams(alpha=alpha, beta=beta, sigma=sigma, tau=tau)
-        if params.regime is model.Regime.WINTER:
+        if params.beta == 0:
             a = model.approx_winter(params)
             click.echo(f"regime=winter mean={a.mean:.6g} variance={a.variance:.6g}")
         else:
             a = model.approx_spring(params)
+            m = model.crossing_time(params)
             click.echo(
                 f"regime=spring mean={a.mean:.6g} variance={a.variance:.6g} "
                 f"linearized_variance={model.theory_approx(params).variance:.6g} "
-                f"m_tau={model.crossing_time(params):.6g} gamma={params.gamma:.6g}"
+                f"m_tau={m:.6g} gamma={params.gamma:.6g}"
             )
-            if a.short_horizon:
+            if m < model.SHORT_HORIZON_DAYS:
                 click.echo(
                     "warning: deterministic crossing under "
                     f"{model.SHORT_HORIZON_DAYS:g} days; large-threshold "

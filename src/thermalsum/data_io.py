@@ -511,17 +511,10 @@ def parse_phenology_csv(path: str | Path) -> list[PhenologyObservation]:
 
 
 def filter_phenology(
-    observations: Iterable[PhenologyObservation],
-    species: str | None = None,
-    phenophase: str | None = None,
+    observations: Iterable[PhenologyObservation], *, species: str, phenophase: str
 ) -> list[PhenologyObservation]:
     """Plain string match on the species / phenophase tags."""
-    return [
-        o
-        for o in observations
-        if (species is None or o.species == species)
-        and (phenophase is None or o.phenophase == phenophase)
-    ]
+    return [o for o in observations if o.species == species and o.phenophase == phenophase]
 
 
 def midrange_series(

@@ -5,17 +5,17 @@ mean-zero noise of standard deviation sigma. A biological event fires on the
 first day the running sum of X_i exceeds a threshold tau (degree-days). Two
 regimes are distinguished exactly by beta: the stationary winter regime
 (beta == 0) and the spring warming regime (beta > 0). This module provides
-the deterministic crossing time, the asymptotic normal approximations for
-the hitting day in both regimes, the regime sensitivity derivatives, the
-winter walk's limiting overshoot, and the standard normal law those
-approximations are checked against.
+the deterministic crossing time m(tau) for every beta >= 0, the paper's
+simplified normal approximations for the hitting day in each regime, the
+linearized normal law at m(tau) that covers both, the regime sensitivity
+derivatives, the winter walk's limiting overshoot, and the standard normal
+law those approximations are checked against.
 
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import sys
@@ -27,15 +27,10 @@ import numpy as np
 from .errors import ApproximationDomainError, ParameterError
 
 # Deterministic crossing below this many days: the large-threshold
-# approximation is dubious and results carry a warning flag.
+# approximation is dubious and `thermalsum approx` warns.
 SHORT_HORIZON_DAYS = 30.0
 
 _SQRT1_2 = math.sqrt(0.5)
-
-
-class Regime(enum.Enum):
-    WINTER = "winter"
-    SPRING = "spring"
 
 
 @dataclass(frozen=True)
@@ -69,10 +64,6 @@ class RegimeParams:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
 
     @property
-    def regime(self) -> Regime:
-        return Regime.WINTER if self.beta == 0 else Regime.SPRING
-
-    @property
     def gamma(self) -> float:
         """Trend offset alpha/beta + 1/2 (spring regime only)."""
         if self.beta == 0:
@@ -82,16 +73,10 @@ class RegimeParams:
 
 @dataclass(frozen=True)
 class HittingTimeApprox:
-    """Normal approximation for the hitting day: mean (days), variance (days^2).
-
-    short_horizon flags spring fits whose deterministic crossing is under
-    SHORT_HORIZON_DAYS, where the large-threshold asymptotics are
-    questionable.
-    """
+    """Normal approximation for the hitting day: mean (days), variance (days^2)."""
 
     mean: float
     variance: float
-    short_horizon: bool = False
 
     @property
     def sd(self) -> float:
@@ -108,8 +93,8 @@ def _finite(closed_form: Callable) -> Callable:
     def checked(params: RegimeParams):
         try:
             result = closed_form(params)
-            values = vars(result).values() if isinstance(result, HittingTimeApprox) else (result,)
-            finite = all(math.isfinite(v) for v in values if isinstance(v, float))
+            values = (result.mean, result.variance) if isinstance(result, HittingTimeApprox) else (result,)
+            finite = all(map(math.isfinite, values))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
@@ -123,14 +108,18 @@ def _finite(closed_form: Callable) -> Callable:
 def crossing_time(params: RegimeParams) -> float:
     """Exact real root m(tau) of the noise-free crossing equation xi(m) = tau.
 
-    Spring regime: positive root of (beta/2) m^2 + beta*gamma*m = tau,
-    with gamma = alpha/beta + 1/2. Winter regime: tau/alpha.
+    The positive root of (beta/2) m^2 + s m = tau with s = alpha + beta/2,
+    in the rationalized form m = tau / ((s + sqrt(s^2 + 2 beta tau))/2).
+    The textbook root (-s + sqrt(s^2 + 2 beta tau))/beta loses every digit
+    to cancellation as beta -> 0; this form adds only positive terms, so it
+    keeps full relative accuracy for every beta >= 0 and is exactly
+    tau/alpha, the winter crossing, at beta == 0. sqrt(2 beta) sqrt(tau)
+    stands for sqrt(2 beta tau), and hypot for the outer root, because
+    2 beta tau and s^2 can overflow (to m = 0) where m itself is a double.
     """
-    if params.beta == 0:
-        return params.tau / params.alpha
-    g = params.gamma
-    b = params.beta
-    return (-b * g + math.sqrt(b * b * g * g + 2.0 * b * params.tau)) / b
+    s = params.alpha + 0.5 * params.beta
+    root = math.hypot(s, math.sqrt(2.0 * params.beta) * math.sqrt(params.tau))
+    return params.tau / (0.5 * s + 0.5 * root)
 
 
 @_finite
@@ -164,28 +153,24 @@ def approx_spring(params: RegimeParams) -> HittingTimeApprox:
             f"approximation at alpha={params.alpha}, beta={params.beta}"
         )
     variance = params.sigma**2 / (params.beta**1.5 * math.sqrt(2.0 * params.tau))
-    return HittingTimeApprox(
-        mean=mean, variance=variance, short_horizon=crossing_time(params) < SHORT_HORIZON_DAYS
-    )
+    return HittingTimeApprox(mean=mean, variance=variance)
 
 
 @_finite
 def theory_approx(params: RegimeParams) -> HittingTimeApprox:
     """Normal approximation used to standardize simulated hitting times.
 
-    Winter: approx_winter. Spring: the linearized form, mean m = m(tau) and
-    variance sigma^2 m / (alpha + beta m)^2 at the exact crossing. It is the
-    form the CLT delivers before the large-threshold simplification, and
-    stays accurate at moderate thresholds where the simplified display is
-    already several days off.
+    The linearized law at the exact crossing for every beta >= 0: mean
+    m = m(tau) and variance sigma^2 m / (alpha + beta m)^2, the form the
+    CLT delivers before the large-threshold simplification. At beta == 0 it
+    is, to rounding, the winter law tau/alpha, sigma^2 tau/alpha^3 of
+    approx_winter; in
+    spring it stays accurate at moderate thresholds where the simplified
+    display is already several days off.
     """
-    if params.beta == 0:
-        return approx_winter(params)
     m = crossing_time(params)
     return HittingTimeApprox(
-        mean=m,
-        variance=params.sigma**2 * m / (params.alpha + params.beta * m) ** 2,
-        short_horizon=m < SHORT_HORIZON_DAYS,
+        mean=m, variance=params.sigma**2 * m / (params.alpha + params.beta * m) ** 2
     )
 
 

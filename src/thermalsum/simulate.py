@@ -33,7 +33,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,8 +127,8 @@ class TemperatureProcessSpec:
 class SimulationResult:
     """Replicate hitting times with summary statistics and normality diagnostics.
 
-    z_values standardizes the hitting times against the closed-form
-    approximation for the matching regime ((nu - mean_theory) / sd_theory);
+    z_values standardizes the hitting times against the linearized law of
+    model.theory_approx, (nu - mean_theory) / sd_theory;
     it is None when sigma == 0, where the theoretical spread is zero and
     standardization is undefined, and for a trend with a breakpoint, which
     the closed forms do not describe. ks is the sup-norm distance between the
@@ -421,12 +421,12 @@ def verify_stopping(
             raise AssertionError(f"replicate {i}: Z_(nu-1)={z[nu-2]} not <= tau={tau}")
 
 
-def ks_distance(samples: Iterable[float]) -> float:
+def ks_distance(samples: np.ndarray | Sequence[float]) -> float:
     """Sup-norm distance between the empirical CDF of samples and the standard normal CDF.
 
     Requires at least one sample; the usual diagnostic use supplies two or more.
     """
-    x = np.sort(np.asarray(list(samples), dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n == 0:
         raise ParameterError("ks_distance requires a non-empty sample")
@@ -446,9 +446,9 @@ def _run_cell(
     """Simulate one grid cell, verify its stopping rule and summarize it.
 
     On a linear trend with noise the hitting times are standardized against
-    the matching regime approximation (winter closed form when beta == 0,
-    linearized spring form when beta > 0), and the KS distance of the
-    standardized values from Normal(0,1) is attached.
+    the linearized law at the exact crossing (model.theory_approx, the winter
+    closed form when beta == 0), and the KS distance of the standardized
+    values from Normal(0,1) is attached.
     """
     times = simulate_hitting_times(spec, tau, replicates, seed, cell)
     verify_stopping(spec, tau, seed, cell, times)

@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr
 
@@ -47,11 +50,6 @@ class TestRegimeParams:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             model.RegimeParams(**fields)
 
-    def test_regime_dispatch_is_exact(self):
-        assert params(beta=0.0).regime is model.Regime.WINTER
-        # even a tiny beta is spring: no tolerance thresholding
-        assert params(beta=1e-300).regime is model.Regime.SPRING
-
     def test_gamma(self):
         assert params(alpha=4, beta=0.8).gamma == pytest.approx(5.5)
         with pytest.raises(ParameterError):
@@ -74,7 +72,41 @@ class TestDeterministicCumsum:
             deterministic_cumsum(params(), -1)
 
 
+def decimal_root(p: model.RegimeParams) -> Decimal:
+    """Positive root of (beta/2) m^2 + (alpha + beta/2) m = tau to 50 digits.
+
+    Rationalized, so no digits cancel even when beta is tiny; Decimal(x)
+    reads each double exactly.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, tau = Decimal(p.alpha), Decimal(p.beta), Decimal(p.tau)
+        s = a + b / 2
+        return 2 * tau / (s + (s * s + 2 * b * tau).sqrt())
+
+
+def _log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
 class TestCrossingTime:
+    @settings(max_examples=500, deadline=None)
+    @given(alpha=_log_uniform(1e-3, 1e3), beta=st.just(0.0) | _log_uniform(1e-300, 10.0),
+           sigma=_log_uniform(1e-2, 1e2), tau=_log_uniform(1.0, 1e5))
+    # roots that are doubles where 2 beta tau (first) or s^2 (second) overflows
+    @example(alpha=1.0, beta=1e10, sigma=1.0, tau=1e298)
+    @example(alpha=1e200, beta=1.0, sigma=1.0, tau=1e3)
+    def test_root_matches_decimal_root(self, alpha, beta, sigma, tau):
+        p = params(alpha=alpha, beta=beta, sigma=sigma, tau=tau)
+        m = model.crossing_time(p)
+        exact = decimal_root(p)
+        assert abs(Decimal(m) - exact) <= Decimal(2e-15) * exact
+        if beta == 0:
+            assert m == tau / alpha
+            theory, winter = model.theory_approx(p), model.approx_winter(p)
+            assert theory.mean == winter.mean
+            assert theory.variance == pytest.approx(winter.variance, rel=1e-14, abs=0)
+
     def test_quadratic_root_matches_independent_root_finder(self):
         p = params(alpha=4, beta=0.8, tau=2000)
         m = model.crossing_time(p)
@@ -86,8 +118,10 @@ class TestCrossingTime:
         assert oracle == pytest.approx(65.42425537148767, rel=1e-12)
         assert m == pytest.approx(oracle, rel=1e-10)
 
-    def test_winter_crossing_is_tau_over_alpha(self):
-        assert model.crossing_time(params(alpha=4, beta=0, tau=1000)) == 250.0
+    # at beta = 1e-300 the textbook root (-s + sqrt(s^2 + 2 beta tau))/beta reads -4e300
+    @pytest.mark.parametrize("beta", [0.0, 1e-300])
+    def test_winter_crossing_is_tau_over_alpha(self, beta):
+        assert model.crossing_time(model.RegimeParams(4, beta, 20, 1000)) == 250.0
 
     def test_winter_crossing_outside_doubles_raises_domain_error(self):
         with pytest.raises(ApproximationDomainError, match="crossing_time is not finite"):
@@ -124,9 +158,11 @@ class TestApproxWinter:
     def test_noiseless_variance_is_zero(self):
         assert model.approx_winter(params(sigma=0.0)).variance == 0.0
 
-    def test_rejects_spring_params(self):
+    # even a tiny beta is spring: no tolerance thresholding
+    @pytest.mark.parametrize("beta", [0.5, 1e-300])
+    def test_rejects_spring_params(self, beta):
         with pytest.raises(ParameterError):
-            model.approx_winter(params(beta=0.5))
+            model.approx_winter(params(beta=beta))
 
 
 class TestApproxSpring:
@@ -134,7 +170,6 @@ class TestApproxSpring:
         a = model.approx_spring(params(alpha=4, beta=0.8, sigma=20, tau=2000))
         assert a.mean == pytest.approx(65.21067811865476)
         assert a.variance == pytest.approx(8.838834764831843)
-        assert not a.short_horizon
 
     def test_second_point(self):
         a = model.approx_spring(params(alpha=2, beta=0.1, sigma=20, tau=1000))
@@ -153,10 +188,6 @@ class TestApproxSpring:
         with pytest.raises(ApproximationDomainError, match="too small"):
             model.approx_spring(params(alpha=100, beta=0.1, sigma=1, tau=1))
 
-    def test_short_horizon_flag(self):
-        assert model.approx_spring(params(alpha=4, beta=0.8, tau=100)).short_horizon
-        assert not model.approx_spring(params(alpha=4, beta=0.8, tau=2000)).short_horizon
-
     def test_linearized_variance_formula(self):
         p = params(alpha=4, beta=0.8, sigma=20, tau=2000)
         m = model.crossing_time(p)
@@ -169,7 +200,6 @@ class TestApproxSpring:
         m = model.crossing_time(p)
         assert lin.mean == pytest.approx(m, rel=1e-12)
         assert lin.variance == pytest.approx(400 * m / (2 + 0.1 * m) ** 2, rel=1e-12)
-        assert not lin.short_horizon
 
     def test_theory_approx_dispatch(self):
         winter = params(beta=0.0)
